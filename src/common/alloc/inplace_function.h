@@ -18,6 +18,7 @@
 #define PROTEUS_COMMON_ALLOC_INPLACE_FUNCTION_H_
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -33,8 +34,8 @@ inline constexpr std::size_t kInplaceFunctionCapacity = 64;
 /**
  * Move-only `void()` callable with @p Capacity bytes of inline
  * storage. Never allocates: construction placement-news the callable
- * into the inline buffer, moves relocate it, destruction destroys it
- * in place.
+ * into the inline buffer, moves relocate it (a plain memcpy for
+ * trivially-copyable closures), destruction destroys it in place.
  */
 template <std::size_t Capacity = kInplaceFunctionCapacity>
 class InplaceFunction
@@ -50,20 +51,7 @@ class InplaceFunction
                   std::decay_t<F>, InplaceFunction>>>
     InplaceFunction(F&& fn)  // NOLINT: implicit by design, like std::function
     {
-        using Fn = std::decay_t<F>;
-        static_assert(sizeof(Fn) <= Capacity,
-                      "closure too large for InplaceFunction: move "
-                      "captured state into a member and capture `this`");
-        static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                      "over-aligned closure not supported");
-        ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
-        invoke_ = [](void* s) { (*static_cast<Fn*>(s))(); };
-        manage_ = [](Op op, void* self, void* dest) {
-            Fn* fn_self = static_cast<Fn*>(self);
-            if (op == Op::MoveTo)
-                ::new (dest) Fn(std::move(*fn_self));
-            fn_self->~Fn();
-        };
+        construct(std::forward<F>(fn));
     }
 
     InplaceFunction(InplaceFunction&& other) noexcept { moveFrom(other); }
@@ -87,10 +75,24 @@ class InplaceFunction
     void
     reset()
     {
-        if (manage_) {
+        if (manage_)
             manage_(Op::Destroy, storage_, nullptr);
-            manage_ = nullptr;
-            invoke_ = nullptr;
+        manage_ = nullptr;
+        invoke_ = nullptr;
+    }
+
+    /** Replace the held callable with @p fn, constructed directly in
+     *  the inline buffer (no intermediate InplaceFunction to relocate
+     *  from). */
+    template <typename F>
+    void
+    emplace(F&& fn)
+    {
+        if constexpr (std::is_same_v<std::decay_t<F>, InplaceFunction>) {
+            *this = std::forward<F>(fn);
+        } else {
+            reset();
+            construct(std::forward<F>(fn));
         }
     }
 
@@ -109,16 +111,46 @@ class InplaceFunction
     using Invoke = void (*)(void*);
     using Manage = void (*)(Op, void*, void*);
 
+    template <typename F>
+    void
+    construct(F&& fn)
+    {
+        using Fn = std::decay_t<F>;
+        static_assert(sizeof(Fn) <= Capacity,
+                      "closure too large for InplaceFunction: move "
+                      "captured state into a member and capture `this`");
+        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                      "over-aligned closure not supported");
+        ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
+        invoke_ = [](void* s) { (*static_cast<Fn*>(s))(); };
+        // A trivially-copyable closure (pointers and ids captured by
+        // value — nearly every simulator event) needs no destructor
+        // and relocates by memcpy, so it carries no manage_ hook.
+        if constexpr (std::is_trivially_copyable_v<Fn>) {
+            manage_ = nullptr;
+        } else {
+            manage_ = [](Op op, void* self, void* dest) {
+                Fn* fn_self = static_cast<Fn*>(self);
+                if (op == Op::MoveTo)
+                    ::new (dest) Fn(std::move(*fn_self));
+                fn_self->~Fn();
+            };
+        }
+    }
+
     void
     moveFrom(InplaceFunction& other) noexcept
     {
-        if (other.manage_) {
+        if (!other.invoke_)
+            return;
+        if (other.manage_)
             other.manage_(Op::MoveTo, other.storage_, storage_);
-            invoke_ = other.invoke_;
-            manage_ = other.manage_;
-            other.invoke_ = nullptr;
-            other.manage_ = nullptr;
-        }
+        else
+            std::memcpy(storage_, other.storage_, Capacity);
+        invoke_ = other.invoke_;
+        manage_ = other.manage_;
+        other.invoke_ = nullptr;
+        other.manage_ = nullptr;
     }
 
     alignas(std::max_align_t) unsigned char storage_[Capacity];

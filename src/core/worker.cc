@@ -302,8 +302,9 @@ Worker::evaluate()
     if (action.wake_at != kNoTime && !queue_.empty()) {
         if (timer_ != kNoEvent && timer_at_ == action.wake_at)
             return;  // identical timer already armed
-        cancelTimer();
         timer_at_ = std::max(action.wake_at, sim_->now());
+        if (timer_ != kNoEvent && sim_->reschedule(timer_, timer_at_))
+            return;  // moved the armed timer
         timer_ = sim_->scheduleAt(timer_at_, [this] {
             timer_ = kNoEvent;
             timer_at_ = kNoTime;

@@ -1,6 +1,5 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -33,53 +32,108 @@ Simulator::reserveEvents(std::size_t n)
         free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
         slots_.emplace_back();
     }
+    while (lane_.size() < n)
+        growLane();
 }
 
 EventId
-Simulator::push(Time at, Callback cb)
+Simulator::arm(std::uint32_t slot, Time at)
 {
-    std::uint32_t slot;
-    if (free_slots_.empty()) {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-    } else {
-        slot = free_slots_.back();
-        free_slots_.pop_back();
-    }
-    EventSlot& s = slots_[slot];
-    s.cb = std::move(cb);
-    s.armed = true;
+    PROTEUS_ASSERT(at >= now_, "scheduling into the past: at=", at,
+                   " now=", now_);
     ++armed_;
-    heap_.push_back(Entry{at, seq_++, slot, s.gen});
-    std::push_heap(heap_.begin(), heap_.end(), EntryLater{});
-    return (static_cast<EventId>(s.gen & kGenMask) << 32) |
+    enqueue(slot, at);
+    return (static_cast<EventId>(slots_[slot].gen) << 32) |
            static_cast<EventId>(slot + 1);
+}
+
+void
+Simulator::enqueue(std::uint32_t slot, Time at)
+{
+    if (at == now_) {
+        lanePush(slot);  // lane order is push order; seq orders the heap
+        return;
+    }
+    heap_.push_back(Entry{});
+    siftUp(heap_.size() - 1, Entry{at, seq_++, slot});
+}
+
+void
+Simulator::unlink(std::uint32_t slot)
+{
+    const std::uint32_t pos = slots_[slot].pos;
+    if (pos & kInLane)
+        lane_[pos & ~kInLane] = kHole;
+    else
+        heapRemove(pos);
 }
 
 void
 Simulator::releaseSlot(std::uint32_t slot)
 {
     EventSlot& s = slots_[slot];
-    s.cb.reset();
-    s.armed = false;
-    ++s.gen;
+    s.gen = (s.gen + 1) & kGenMask;
+    s.pos = kFree;
     --armed_;
     free_slots_.push_back(slot);
 }
 
-EventId
-Simulator::scheduleAt(Time at, Callback cb)
+void
+Simulator::fire(std::uint32_t slot)
 {
-    PROTEUS_ASSERT(at >= now_, "scheduling into the past: at=", at,
-                   " now=", now_);
-    return push(at, std::move(cb));
+    Callback cb = std::move(slots_[slot].cb);
+    // Release before invoking so the callback itself can recycle the
+    // slot — reuse order stays deterministic (LIFO).
+    releaseSlot(slot);
+    ++executed_;
+    cb();
 }
 
-EventId
-Simulator::scheduleAfter(Duration delay, Callback cb)
+std::uint32_t
+Simulator::pendingSlot(EventId id) const
 {
-    PROTEUS_ASSERT(delay >= 0, "negative delay ", delay);
-    return push(now_ + delay, std::move(cb));
+    if ((id & kPeriodicTag) != 0)
+        return kFree;
+    const std::uint32_t encoded_slot =
+        static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
+    if (encoded_slot == 0 || encoded_slot > slots_.size())
+        return kFree;
+    const std::uint32_t slot = encoded_slot - 1;
+    const EventSlot& s = slots_[slot];
+    if (s.pos == kFree || s.gen != static_cast<std::uint32_t>(id >> 32))
+        return kFree;
+    return slot;
+}
+
+bool
+Simulator::cancel(EventId id)
+{
+    const std::uint32_t slot = pendingSlot(id);
+    if (slot == kFree)
+        return false;
+    unlink(slot);
+    slots_[slot].cb.reset();
+    releaseSlot(slot);
+    return true;
+}
+
+bool
+Simulator::reschedule(EventId id, Time at)
+{
+    const std::uint32_t slot = pendingSlot(id);
+    if (slot == kFree)
+        return false;
+    PROTEUS_ASSERT(at >= now_, "rescheduling into the past: at=", at,
+                   " now=", now_);
+    const std::uint32_t pos = slots_[slot].pos;
+    if (at == now_ || (pos & kInLane)) {
+        unlink(slot);
+        enqueue(slot, at);
+        return true;
+    }
+    // Heap to heap: rewrite the key in place and sift once.
+    heapFix(pos, Entry{at, seq_++, slot});
+    return true;
 }
 
 EventId
@@ -89,7 +143,7 @@ Simulator::schedulePeriodic(Duration period, Callback cb)
     const std::uint32_t index =
         static_cast<std::uint32_t>(periodics_.size());
     periodics_.push_back(PeriodicTask{std::move(cb), period, false});
-    scheduleAfter(period, Callback([this, index] { firePeriodic(index); }));
+    scheduleAfter(period, [this, index] { firePeriodic(index); });
     return kPeriodicTag | index;
 }
 
@@ -106,27 +160,7 @@ Simulator::firePeriodic(std::uint32_t index)
     // Re-arm after the user callback so events it scheduled at the
     // same instant keep their FIFO position ahead of the next tick.
     scheduleAfter(periodics_[index].period,
-                  Callback([this, index] { firePeriodic(index); }));
-}
-
-bool
-Simulator::cancel(EventId id)
-{
-    if (id == kNoEvent || (id & kPeriodicTag) != 0)
-        return false;
-    const std::uint32_t encoded_slot =
-        static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
-    if (encoded_slot == 0 || encoded_slot > slots_.size())
-        return false;
-    const std::uint32_t slot = encoded_slot - 1;
-    const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32) & kGenMask;
-    EventSlot& s = slots_[slot];
-    if (!s.armed || (s.gen & kGenMask) != gen)
-        return false;
-    // Lazy cancellation: the heap entry stays and is skipped on pop
-    // (its generation no longer matches).
-    releaseSlot(slot);
-    return true;
+                  [this, index] { firePeriodic(index); });
 }
 
 void
@@ -140,40 +174,169 @@ Simulator::cancelPeriodic(EventId id)
 }
 
 bool
-Simulator::step()
+Simulator::fireNext(Time until)
 {
-    while (!heap_.empty()) {
-        const Entry e = heap_.front();
-        std::pop_heap(heap_.begin(), heap_.end(), EntryLater{});
-        heap_.pop_back();
-        EventSlot& s = slots_[e.slot];
-        if (!s.armed || s.gen != e.gen)
-            continue;  // cancelled (stale generation)
-        Callback cb = std::move(s.cb);
-        // Release before invoking so the callback itself can recycle
-        // the slot — reuse order stays deterministic (LIFO).
-        releaseSlot(e.slot);
-        PROTEUS_ASSERT(e.at >= now_, "event queue went backwards");
-        now_ = e.at;
-        ++executed_;
-        cb();
+    // Heap entries at now() predate every lane entry (see the file
+    // comment), so they go first; the clock advances only once the
+    // lane is drained.
+    if (!heap_.empty() && heap_.front().at == now_) {
+        fire(heapPopRoot());
         return true;
     }
-    return false;
+    if (laneLive()) {
+        const std::uint32_t slot = lane_[lane_head_ & (lane_.size() - 1)];
+        ++lane_head_;
+        fire(slot);
+        return true;
+    }
+    if (heap_.empty() || heap_.front().at > until)
+        return false;
+    now_ = heap_.front().at;
+    fire(heapPopRoot());
+    return true;
+}
+
+bool
+Simulator::step()
+{
+    return fireNext(kTimeMax);
 }
 
 void
 Simulator::run(Time until)
 {
-    while (!heap_.empty()) {
-        if (heap_.front().at > until) {
-            now_ = until;
-            return;
-        }
-        step();
+    if (until < now_)
+        return;  // the clock never goes backwards
+    while (fireNext(until)) {
     }
-    if (until != kTimeMax && until > now_)
+    if (until != kTimeMax)
         now_ = until;
+}
+
+// ---------------------------------------------------------------------
+// Indexed binary heap
+
+void
+Simulator::place(std::size_t i, const Entry& e)
+{
+    heap_[i] = e;
+    slots_[e.slot].pos = static_cast<std::uint32_t>(i);
+}
+
+void
+Simulator::siftUp(std::size_t i, const Entry& e)
+{
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 2;
+        if (!before(e, heap_[parent]))
+            break;
+        place(i, heap_[parent]);
+        i = parent;
+    }
+    place(i, e);
+}
+
+void
+Simulator::siftDown(std::size_t i, const Entry& e)
+{
+    const std::size_t n = heap_.size();
+    for (;;) {
+        std::size_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && before(heap_[child + 1], heap_[child]))
+            ++child;
+        if (!before(heap_[child], e))
+            break;
+        place(i, heap_[child]);
+        i = child;
+    }
+    place(i, e);
+}
+
+void
+Simulator::heapFix(std::size_t i, const Entry& e)
+{
+    if (i > 0 && before(e, heap_[(i - 1) / 2]))
+        siftUp(i, e);
+    else
+        siftDown(i, e);
+}
+
+void
+Simulator::heapRemove(std::size_t i)
+{
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (i < heap_.size())
+        heapFix(i, last);
+}
+
+std::uint32_t
+Simulator::heapPopRoot()
+{
+    // Floyd: walk the hole at the root down to a leaf along the
+    // smaller children (one compare per level), then sift the last
+    // entry up from there — it rarely climbs far.
+    const std::uint32_t top = heap_.front().slot;
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0)
+        return top;
+    std::size_t i = 0;
+    for (;;) {
+        std::size_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && before(heap_[child + 1], heap_[child]))
+            ++child;
+        place(i, heap_[child]);
+        i = child;
+    }
+    siftUp(i, last);
+    return top;
+}
+
+// ---------------------------------------------------------------------
+// Same-instant lane
+
+void
+Simulator::growLane()
+{
+    // Double and re-lay live entries at their new cells; the
+    // free-running counters stay valid.
+    std::vector<std::uint32_t> grown(lane_.empty() ? 16 : 2 * lane_.size());
+    const std::uint32_t mask = static_cast<std::uint32_t>(grown.size() - 1);
+    for (std::uint32_t k = lane_head_; k != lane_tail_; ++k) {
+        const std::uint32_t s = lane_[k & (lane_.size() - 1)];
+        grown[k & mask] = s;
+        if (s != kHole)
+            slots_[s].pos = kInLane | (k & mask);
+    }
+    lane_.swap(grown);
+}
+
+void
+Simulator::lanePush(std::uint32_t slot)
+{
+    if (lane_tail_ - lane_head_ == lane_.size())
+        growLane();
+    const std::uint32_t cell =
+        lane_tail_++ & static_cast<std::uint32_t>(lane_.size() - 1);
+    lane_[cell] = slot;
+    slots_[slot].pos = kInLane | cell;
+}
+
+bool
+Simulator::laneLive()
+{
+    while (lane_head_ != lane_tail_) {
+        if (lane_[lane_head_ & (lane_.size() - 1)] != kHole)
+            return true;
+        ++lane_head_;
+    }
+    return false;
 }
 
 }  // namespace proteus

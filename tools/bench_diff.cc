@@ -60,6 +60,7 @@ directionOf(const std::string& metric)
         {"effective_accuracy", Direction::HigherBetter},
         {"served", Direction::HigherBetter},
         {"events_per_sec", Direction::HigherBetter},
+        {"timer_events_per_sec", Direction::HigherBetter},
         {"slo_violation_ratio", Direction::LowerBetter},
         {"allocs_per_query", Direction::LowerBetter},
         {"trace_overhead_frac", Direction::LowerBetter},
