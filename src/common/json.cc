@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/logging.h"
 
@@ -192,8 +193,18 @@ class Parser
             return fail("unexpected end of input");
         char c = text_[pos_];
         switch (c) {
-          case '{': return parseObject(out);
-          case '[': return parseArray(out);
+          case '{':
+          case '[': {
+            // Containers recurse; a fixed limit keeps hostile input
+            // from overflowing the stack.
+            if (depth_ == kMaxJsonDepth)
+                return fail("JSON nested deeper than " +
+                            std::to_string(kMaxJsonDepth) + " levels");
+            ++depth_;
+            const bool ok = c == '{' ? parseObject(out) : parseArray(out);
+            --depth_;
+            return ok;
+          }
           case '"': return parseString(out);
           case 't':
           case 'f': return parseBool(out);
@@ -413,6 +424,7 @@ class Parser
     const std::string& text_;
     std::string* error_;
     std::size_t pos_ = 0;
+    int depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace

@@ -83,6 +83,12 @@ class JsonValue
 };
 
 /**
+ * Deepest nesting of arrays/objects the parser accepts; deeper input
+ * is a parse error rather than a stack overflow.
+ */
+inline constexpr int kMaxJsonDepth = 256;
+
+/**
  * Parse @p text as JSON.
  * @param error receives a description on failure (may be null).
  * @return the value, or nullopt-like null value with *error set.

@@ -115,6 +115,20 @@ pipelinesFromJson(const JsonValue& json)
     return specs;
 }
 
+/**
+ * A rate key of the workload object. The trace generators assert on
+ * non-positive rates, so a config that asks for one is rejected here
+ * with a diagnostic (exit 1) instead.
+ */
+double
+positiveQps(const JsonValue& w, const char* key, double fallback)
+{
+    const double qps = w.numberOr(key, fallback);
+    if (!(qps > 0.0))
+        PROTEUS_FATAL("workload \"", key, "\" must be positive, got ", qps);
+    return qps;
+}
+
 Trace
 traceFromJson(const JsonValue& json, const ModelRegistry& registry,
               const std::vector<PipelineSpec>& pipelines)
@@ -131,7 +145,7 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
     if (kind == "diurnal") {
         DiurnalTraceConfig cfg;
         cfg.duration = duration;
-        cfg.base_qps = w.numberOr("base_qps", 250.0);
+        cfg.base_qps = positiveQps(w, "base_qps", 250.0);
         cfg.diurnal_amplitude_qps = w.numberOr("amplitude_qps", 350.0);
         cfg.cycles = w.numberOr("cycles", 2.0);
         cfg.seed = seed;
@@ -140,8 +154,8 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
     if (kind == "burst") {
         BurstTraceConfig cfg;
         cfg.duration = duration;
-        cfg.low_qps = w.numberOr("low_qps", 150.0);
-        cfg.high_qps = w.numberOr("high_qps", 900.0);
+        cfg.low_qps = positiveQps(w, "low_qps", 150.0);
+        cfg.high_qps = positiveQps(w, "high_qps", 900.0);
         cfg.phase = seconds(w.numberOr("phase_sec", 240.0));
         cfg.seed = seed;
         return burstTrace(num_families, cfg);
@@ -157,7 +171,7 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
             p = ArrivalProcess::Gamma;
         else
             PROTEUS_FATAL("unknown arrival process: ", process);
-        return steadyTrace(num_families, w.numberOr("qps", 100.0),
+        return steadyTrace(num_families, positiveQps(w, "qps", 100.0),
                            duration, p, seed);
     }
     if (kind == "file") {
@@ -183,7 +197,7 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
         for (PipelineId p = 0; p < compiled.size(); ++p)
             entries.push_back(compiled.entryFamily(p));
         PipelineTraceConfig cfg;
-        cfg.qps = w.numberOr("qps", cfg.qps);
+        cfg.qps = positiveQps(w, "qps", cfg.qps);
         cfg.duration = duration;
         cfg.seed = seed;
         std::string process = w.stringOr("process", "poisson");

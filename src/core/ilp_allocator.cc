@@ -6,8 +6,13 @@
 
 #include "common/clock.h"
 #include "common/logging.h"
+#include "core/counts_eval.h"
 
 namespace proteus {
+
+using detail::CachedCounts;
+using detail::CountsContext;
+using detail::CountsEval;
 
 IlpAllocator::IlpAllocator(const ModelRegistry* registry,
                            const Cluster* cluster,
@@ -18,130 +23,6 @@ IlpAllocator::IlpAllocator(const ModelRegistry* registry,
       profiles_(profiles),
       options_(options)
 {}
-
-namespace {
-
-/**
- * Exact objective of a fixed integer hosting plan: given per-(type,
- * variant) device counts, the optimal served-QPS assignment fills each
- * family's demand onto its highest-accuracy hosted capacity first
- * (the only coupling across families is the hosting budget, which the
- * counts already satisfy). Returns the accuracy-weighted served sum
- * minus the replica tie-penalty, or infeasible when some family's
- * capacity cannot cover its demand.
- */
-struct CountsEval {
-    bool feasible = false;
-    double objective = 0.0;
-};
-
-struct CountsContext {
-    const ModelRegistry* registry;
-    const ProfileStore* profiles;
-    double replica_penalty;
-    /** Variants of family f sorted by accuracy descending. */
-    std::vector<std::vector<VariantId>> by_acc_desc;
-    /** Churn damping (may be null): bonus and current counts. */
-    const std::vector<std::vector<double>>* keep_bonus = nullptr;
-    const std::vector<std::vector<int>>* cur_counts = nullptr;
-};
-
-double
-familyValue(const CountsContext& ctx,
-            const std::vector<std::vector<int>>& count, FamilyId f,
-            double demand, bool* feasible)
-{
-    double remaining = demand;
-    double value = 0.0;
-    for (VariantId m : ctx.by_acc_desc[f]) {
-        if (remaining <= 1e-9)
-            break;
-        double acc = ctx.registry->variant(m).accuracy;
-        for (std::size_t t = 0; t < count.size(); ++t) {
-            if (count[t][m] <= 0)
-                continue;
-            double cap =
-                ctx.profiles->get(m, static_cast<DeviceTypeId>(t))
-                    .peak_qps *
-                count[t][m];
-            double used = std::min(cap, remaining);
-            value += acc * used;
-            remaining -= used;
-            if (remaining <= 1e-9)
-                break;
-        }
-    }
-    *feasible = remaining <= 1e-6 * std::max(1.0, demand);
-    return value;
-}
-
-CountsEval
-evalCounts(const CountsContext& ctx,
-           const std::vector<std::vector<int>>& count,
-           const std::vector<double>& demand)
-{
-    CountsEval out;
-    out.feasible = true;
-    for (std::size_t f = 0; f < demand.size(); ++f) {
-        if (demand[f] <= 0.0)
-            continue;
-        bool ok = false;
-        out.objective += familyValue(ctx, count,
-                                     static_cast<FamilyId>(f),
-                                     demand[f], &ok);
-        out.feasible &= ok;
-    }
-    int replicas = 0;
-    for (const auto& row : count)
-        for (int c : row)
-            replicas += c;
-    out.objective -= ctx.replica_penalty * replicas;
-    if (ctx.keep_bonus && ctx.cur_counts) {
-        for (std::size_t t = 0; t < count.size(); ++t) {
-            for (std::size_t m = 0; m < count[t].size(); ++m) {
-                int kept = std::min(count[t][m], (*ctx.cur_counts)[t][m]);
-                if (kept > 0)
-                    out.objective += (*ctx.keep_bonus)[t][m] * kept;
-            }
-        }
-    }
-    return out;
-}
-
-/** Greedy served-QPS assignment for fixed counts (highest acc first). */
-std::vector<std::vector<double>>
-greedyFill(const CountsContext& ctx,
-           const std::vector<std::vector<int>>& count,
-           const std::vector<double>& demand)
-{
-    std::vector<std::vector<double>> qps(
-        count.size(), std::vector<double>(count.empty() ? 0
-                                                        : count[0].size(),
-                                          0.0));
-    for (std::size_t f = 0; f < demand.size(); ++f) {
-        double remaining = demand[f];
-        for (VariantId m : ctx.by_acc_desc[f]) {
-            if (remaining <= 1e-12)
-                break;
-            for (std::size_t t = 0; t < count.size(); ++t) {
-                if (count[t][m] <= 0)
-                    continue;
-                double cap =
-                    ctx.profiles->get(m, static_cast<DeviceTypeId>(t))
-                        .peak_qps *
-                    count[t][m];
-                double used = std::min(cap, remaining);
-                qps[t][m] += used;
-                remaining -= used;
-                if (remaining <= 1e-12)
-                    break;
-            }
-        }
-    }
-    return qps;
-}
-
-}  // namespace
 
 int
 IlpAllocator::availableOfType(DeviceTypeId t) const
@@ -405,13 +286,14 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
         return out;
     }
 
-    // Warm-start hint, built in three steps:
-    //  1. solve the LP relaxation and round the device counts with a
-    //     per-budget repair (ceil in descending fractional order
-    //     while the hosting/quota budgets allow, floor otherwise);
+    // Warm-start hint, built from the MILP's root relaxation (solved
+    // once, as B&B node 1) in three steps:
+    //  1. round the device counts with a per-budget repair (ceil in
+    //     descending fractional order while the hosting/quota budgets
+    //     allow, floor otherwise);
     //  2. improve the integer counts by local search, using the exact
-    //     greedy evaluation of a fixed hosting plan (microseconds per
-    //     move);
+    //     greedy evaluation of a fixed hosting plan, cached per family
+    //     so a move re-scores only the families it touches;
     //  3. synthesize the matching served-QPS values.
     // The result is typically within the MILP gap already, letting
     // branch & bound prune almost immediately.
@@ -423,158 +305,135 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
         ctx.keep_bonus = &keep_bonus;
         ctx.cur_counts = cur;
     }
-    ctx.by_acc_desc.resize(F);
-    for (std::size_t f = 0; f < F; ++f) {
-        auto vs = registry_->variantsOf(static_cast<FamilyId>(f));
-        std::reverse(vs.begin(), vs.end());  // accuracy descending
-        ctx.by_acc_desc[f] = std::move(vs);
-    }
+    detail::sortVariantsByAccuracy(&ctx);
     // Only columns present in the MILP may get devices.
     auto col_ok = [&](std::size_t t, std::size_t m) {
         return n_col[t][m] >= 0;
     };
 
-    std::vector<double> hint;
-    if (options_.fairness_weight <= 0.0) {
-        SimplexSolver splx;
-        Solution relax = splx.solve(lp);
-        if (relax.status == SolveStatus::Optimal) {
-            // Step 1: budget-repair rounding of the LP counts.
-            std::vector<std::vector<int>> count(
-                T, std::vector<int>(M, 0));
-            std::vector<int> budget(T);
-            std::vector<std::vector<int>> quota_left;
-            if (!options_.family_quota.empty())
-                quota_left = options_.family_quota;
-            for (std::size_t t = 0; t < T; ++t) {
-                budget[t] =
-                    availableOfType(static_cast<DeviceTypeId>(t));
-                std::vector<std::pair<double, std::size_t>> fracs;
-                for (std::size_t m = 0; m < M; ++m) {
-                    if (!col_ok(t, m))
-                        continue;
-                    double v = relax.x[n_col[t][m]];
-                    int fl = static_cast<int>(std::floor(v + 1e-9));
-                    count[t][m] = fl;
-                    budget[t] -= fl;
-                    if (!quota_left.empty()) {
-                        quota_left[t][registry_->familyOf(
-                            static_cast<VariantId>(m))] -= fl;
-                    }
-                    if (v - fl > 1e-6)
-                        fracs.emplace_back(v - fl, m);
+    auto build_hint = [&](const Solution& relax) {
+        // Step 1: budget-repair rounding of the LP counts.
+        std::vector<std::vector<int>> count(T, std::vector<int>(M, 0));
+        std::vector<int> budget(T);
+        std::vector<std::vector<int>> quota_left;
+        if (!options_.family_quota.empty())
+            quota_left = options_.family_quota;
+        for (std::size_t t = 0; t < T; ++t) {
+            budget[t] = availableOfType(static_cast<DeviceTypeId>(t));
+            std::vector<std::pair<double, std::size_t>> fracs;
+            for (std::size_t m = 0; m < M; ++m) {
+                if (!col_ok(t, m))
+                    continue;
+                double v = relax.x[n_col[t][m]];
+                int fl = static_cast<int>(std::floor(v + 1e-9));
+                count[t][m] = fl;
+                budget[t] -= fl;
+                if (!quota_left.empty()) {
+                    quota_left[t][registry_->familyOf(
+                        static_cast<VariantId>(m))] -= fl;
                 }
-                std::sort(fracs.rbegin(), fracs.rend());
-                for (const auto& [frac, m] : fracs) {
-                    if (budget[t] <= 0)
-                        break;
-                    FamilyId f =
-                        registry_->familyOf(static_cast<VariantId>(m));
-                    if (!quota_left.empty() && quota_left[t][f] <= 0)
-                        continue;
-                    ++count[t][m];
-                    --budget[t];
-                    if (!quota_left.empty())
-                        --quota_left[t][f];
-                }
+                if (v - fl > 1e-6)
+                    fracs.emplace_back(v - fl, m);
             }
-
-            // Step 2: first-improvement local search over count moves
-            // (re-purpose one device of a type, or add an idle one).
-            CountsEval cur_eval = evalCounts(ctx, count, eff_demand);
-            auto quota_allows = [&](std::size_t t, std::size_t m) {
-                if (quota_left.empty())
-                    return true;
-                return quota_left[t][registry_->familyOf(
-                           static_cast<VariantId>(m))] > 0;
-            };
-            for (int round = 0; round < 64; ++round) {
-                bool improved = false;
-                for (std::size_t t = 0; t < T; ++t) {
-                    for (std::size_t dst = 0; dst < M; ++dst) {
-                        if (!col_ok(t, dst))
-                            continue;
-                        // Pure add from idle budget.
-                        if (budget[t] > 0 && quota_allows(t, dst)) {
-                            ++count[t][dst];
-                            CountsEval e =
-                                evalCounts(ctx, count, eff_demand);
-                            if ((e.feasible && !cur_eval.feasible) ||
-                                (e.feasible == cur_eval.feasible &&
-                                 e.objective >
-                                     cur_eval.objective + 1e-9)) {
-                                cur_eval = e;
-                                --budget[t];
-                                if (!quota_left.empty()) {
-                                    --quota_left[t][registry_->familyOf(
-                                        static_cast<VariantId>(dst))];
-                                }
-                                improved = true;
-                                continue;
-                            }
-                            --count[t][dst];
-                        }
-                        // Re-purpose one device from another variant.
-                        for (std::size_t src = 0; src < M; ++src) {
-                            if (src == dst || count[t][src] <= 0)
-                                continue;
-                            FamilyId sf = registry_->familyOf(
-                                static_cast<VariantId>(src));
-                            FamilyId df = registry_->familyOf(
-                                static_cast<VariantId>(dst));
-                            if (!quota_left.empty() && sf != df &&
-                                quota_left[t][df] <= 0) {
-                                continue;
-                            }
-                            --count[t][src];
-                            ++count[t][dst];
-                            CountsEval e =
-                                evalCounts(ctx, count, eff_demand);
-                            if ((e.feasible && !cur_eval.feasible) ||
-                                (e.feasible == cur_eval.feasible &&
-                                 e.objective >
-                                     cur_eval.objective + 1e-9)) {
-                                cur_eval = e;
-                                if (!quota_left.empty() && sf != df) {
-                                    ++quota_left[t][sf];
-                                    --quota_left[t][df];
-                                }
-                                improved = true;
-                            } else {
-                                ++count[t][src];
-                                --count[t][dst];
-                            }
-                        }
-                    }
-                }
-                if (!improved)
+            std::sort(fracs.rbegin(), fracs.rend());
+            for (const auto& [frac, m] : fracs) {
+                if (budget[t] <= 0)
                     break;
-            }
-
-            // Step 3: synthesize the hint vector (counts + greedy w).
-            if (cur_eval.feasible) {
-                hint.assign(
-                    static_cast<std::size_t>(lp.numVariables()), 0.0);
-                for (std::size_t t = 0; t < T; ++t) {
-                    for (std::size_t m = 0; m < M; ++m) {
-                        if (col_ok(t, m))
-                            hint[n_col[t][m]] = count[t][m];
-                    }
-                }
-                auto qps = greedyFill(ctx, count, eff_demand);
-                for (std::size_t t = 0; t < T; ++t) {
-                    for (std::size_t m = 0; m < M; ++m) {
-                        if (col_ok(t, m) && qps[t][m] > 0.0)
-                            hint[w_col[t][m]] = qps[t][m];
-                        if (k_col[t][m] >= 0 && cur) {
-                            hint[k_col[t][m]] = std::min(
-                                count[t][m], (*cur)[t][m]);
-                        }
-                    }
-                }
+                FamilyId f = registry_->familyOf(static_cast<VariantId>(m));
+                if (!quota_left.empty() && quota_left[t][f] <= 0)
+                    continue;
+                ++count[t][m];
+                --budget[t];
+                if (!quota_left.empty())
+                    --quota_left[t][f];
             }
         }
-    }
+
+        // Step 2: first-improvement local search over count moves
+        // (re-purpose one device of a type, or add an idle one).
+        CachedCounts search(ctx, std::move(count), eff_demand);
+        auto improves = [&](const CountsEval& e) {
+            const CountsEval& now = search.eval();
+            return (e.feasible && !now.feasible) ||
+                   (e.feasible == now.feasible &&
+                    e.objective > now.objective + 1e-9);
+        };
+        auto quota_allows = [&](std::size_t t, std::size_t m) {
+            if (quota_left.empty())
+                return true;
+            return quota_left[t][registry_->familyOf(
+                       static_cast<VariantId>(m))] > 0;
+        };
+        for (int round = 0; round < 64; ++round) {
+            bool improved = false;
+            for (std::size_t t = 0; t < T; ++t) {
+                for (std::size_t dst = 0; dst < M; ++dst) {
+                    if (!col_ok(t, dst))
+                        continue;
+                    // Pure add from idle budget.
+                    if (budget[t] > 0 && quota_allows(t, dst)) {
+                        if (improves(search.tryMove(t, -1, dst))) {
+                            search.accept();
+                            --budget[t];
+                            if (!quota_left.empty()) {
+                                --quota_left[t][registry_->familyOf(
+                                    static_cast<VariantId>(dst))];
+                            }
+                            improved = true;
+                            continue;
+                        }
+                        search.reject();
+                    }
+                    // Re-purpose one device from another variant.
+                    for (std::size_t src = 0; src < M; ++src) {
+                        if (src == dst || search.count()[t][src] <= 0)
+                            continue;
+                        FamilyId sf = registry_->familyOf(
+                            static_cast<VariantId>(src));
+                        FamilyId df = registry_->familyOf(
+                            static_cast<VariantId>(dst));
+                        if (!quota_left.empty() && sf != df &&
+                            quota_left[t][df] <= 0) {
+                            continue;
+                        }
+                        if (improves(search.tryMove(
+                                t, static_cast<int>(src), dst))) {
+                            search.accept();
+                            if (!quota_left.empty() && sf != df) {
+                                ++quota_left[t][sf];
+                                --quota_left[t][df];
+                            }
+                            improved = true;
+                        } else {
+                            search.reject();
+                        }
+                    }
+                }
+            }
+            if (!improved)
+                break;
+        }
+
+        // Step 3: synthesize the hint vector (counts + greedy w).
+        std::vector<double> hint;
+        if (!search.eval().feasible)
+            return hint;
+        const auto& best = search.count();
+        hint.assign(static_cast<std::size_t>(lp.numVariables()), 0.0);
+        auto qps = detail::greedyFill(ctx, best, eff_demand);
+        for (std::size_t t = 0; t < T; ++t) {
+            for (std::size_t m = 0; m < M; ++m) {
+                if (!col_ok(t, m))
+                    continue;
+                hint[n_col[t][m]] = best[t][m];
+                if (qps[t][m] > 0.0)
+                    hint[w_col[t][m]] = qps[t][m];
+                if (k_col[t][m] >= 0)
+                    hint[k_col[t][m]] = std::min(best[t][m], (*cur)[t][m]);
+            }
+        }
+        return hint;
+    };
 
     MilpSolver::Options mopt;
     mopt.work_limit_iters = options_.milp_work_budget;
@@ -582,9 +441,14 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
     mopt.gap_tol = options_.milp_gap;
     mopt.heuristic_period = 4;
     MilpSolver milp(mopt);
-    Solution sol = milp.solve(lp, hint.empty() ? nullptr : &hint);
+    // The exact evaluation behind the hint covers only the paper
+    // objective, so the fairness extension solves without one.
+    Solution sol = options_.fairness_weight <= 0.0
+                       ? milp.solve(lp, build_hint)
+                       : milp.solve(lp);
     out.nodes = sol.work;
     out.simplex_iters = milp.lastStats().simplex_iterations;
+    out.lp_solves = milp.lastStats().lp_solves;
     out.gap = milp.lastStats().gap;
     if (sol.status == SolveStatus::Infeasible) {
         out.feasible = false;
@@ -824,10 +688,12 @@ IlpAllocator::allocate(const AllocationInput& input)
     int steps = 0;
     std::int64_t total_nodes = 0;
     std::int64_t total_iters = 0;
+    std::int64_t total_lp_solves = 0;
     while (true) {
         sol = solveAggregated(demand, cur);
         total_nodes += sol.nodes;
         total_iters += sol.simplex_iters;
+        total_lp_solves += sol.lp_solves;
         if (sol.feasible)
             break;
         ++steps;
@@ -839,6 +705,7 @@ IlpAllocator::allocate(const AllocationInput& input)
             sol = solveAggregated(demand, cur);
             total_nodes += sol.nodes;
             total_iters += sol.simplex_iters;
+            total_lp_solves += sol.lp_solves;
             break;
         }
         for (auto& d : demand)
@@ -860,12 +727,7 @@ IlpAllocator::allocate(const AllocationInput& input)
             ctx.registry = registry_;
             ctx.profiles = profiles_;
             ctx.replica_penalty = 0.0;
-            ctx.by_acc_desc.resize(registry_->numFamilies());
-            for (FamilyId f = 0; f < registry_->numFamilies(); ++f) {
-                auto vs = registry_->variantsOf(f);
-                std::reverse(vs.begin(), vs.end());
-                ctx.by_acc_desc[f] = std::move(vs);
-            }
+            detail::sortVariantsByAccuracy(&ctx);
             // Families with no usable variant anywhere are shed by
             // every plan; exclude them from the feasibility check.
             std::vector<double> check = demand;
@@ -885,11 +747,12 @@ IlpAllocator::allocate(const AllocationInput& input)
                     fresh_obj * (1.0 - options_.keep_plan_hysteresis)) {
                 TypeSolution kept;
                 kept.count = cur_counts;
-                kept.qps = greedyFill(ctx, cur_counts, check);
+                kept.qps = detail::greedyFill(ctx, cur_counts, check);
                 kept.objective = cur_eval.objective;
                 kept.feasible = true;
                 kept.nodes = sol.nodes;
                 kept.simplex_iters = sol.simplex_iters;
+                kept.lp_solves = sol.lp_solves;
                 kept.gap = sol.gap;
                 sol = std::move(kept);
             }
@@ -903,6 +766,7 @@ IlpAllocator::allocate(const AllocationInput& input)
     stats_.solve_seconds = timer.elapsedSeconds();
     stats_.nodes = total_nodes;
     stats_.simplex_iters = total_iters;
+    stats_.lp_solves = total_lp_solves;
     stats_.gap = sol.gap;
     stats_.backoff_steps = steps;
     stats_.served_fraction = plan.planned_fraction;

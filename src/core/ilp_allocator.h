@@ -158,6 +158,8 @@ class IlpAllocator : public Allocator
         std::int64_t nodes = 0;
         /** Simplex iterations over every LP relaxation solved. */
         std::int64_t simplex_iters = 0;
+        /** LP relaxations solved by the MILP (nodes + heuristics). */
+        std::int64_t lp_solves = 0;
         /** Final MILP incumbent/bound gap of the accepted solve. */
         double gap = 0.0;
         int backoff_steps = 0;
@@ -189,6 +191,7 @@ class IlpAllocator : public Allocator
         bool feasible = false;
         std::int64_t nodes = 0;
         std::int64_t simplex_iters = 0;          ///< summed LP work
+        std::int64_t lp_solves = 0;              ///< MILP LP solves
         double gap = 0.0;                        ///< final MILP gap
     };
 

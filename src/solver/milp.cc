@@ -53,8 +53,7 @@ mostFractional(const LinearProgram& lp, const std::vector<double>& x,
 }  // namespace
 
 Solution
-MilpSolver::solve(const LinearProgram& lp,
-                  const std::vector<double>* hint)
+MilpSolver::solve(const LinearProgram& lp, const HintBuilder& hint)
 {
     const WallTimer timer;
     const bool maximize = lp.objSense() == ObjSense::Maximize;
@@ -89,23 +88,19 @@ MilpSolver::solve(const LinearProgram& lp,
 
     // Warm start: accept the hint as the initial incumbent when it is
     // feasible and integral.
-    if (hint && static_cast<int>(hint->size()) == lp.numVariables() &&
-        lp.isFeasible(*hint, 1e-6)) {
-        bool integral = true;
+    auto acceptHint = [&](std::vector<double> x) {
+        if (static_cast<int>(x.size()) != lp.numVariables() ||
+            !lp.isFeasible(x, 1e-6))
+            return;
         for (int j : lp.integerVariables()) {
-            if (std::abs((*hint)[j] - std::round((*hint)[j])) >
-                options_.int_tol) {
-                integral = false;
-                break;
-            }
+            if (std::abs(x[j] - std::round(x[j])) > options_.int_tol)
+                return;
         }
-        if (integral) {
-            incumbent = orient(lp.objectiveValue(*hint));
-            best.x = *hint;
-            best.objective = lp.objectiveValue(*hint);
-            best.status = SolveStatus::Feasible;
-        }
-    }
+        incumbent = orient(lp.objectiveValue(x));
+        best.objective = lp.objectiveValue(x);
+        best.x = std::move(x);
+        best.status = SolveStatus::Feasible;
+    };
 
     std::priority_queue<Node, std::vector<Node>, NodeWorse> open;
     open.push(Node{root_bounds, kInf, 0});
@@ -252,8 +247,11 @@ MilpSolver::solve(const LinearProgram& lp,
             continue;  // iteration limit in relaxation: prune (rare)
 
         double bound = orient(relax.objective);
-        if (nodes == 1)
+        if (nodes == 1) {
             best_dual = bound;
+            if (hint)
+                acceptHint(hint(relax));
+        }
         if (bound <= incumbent + std::abs(incumbent) * options_.gap_tol +
                          1e-12) {
             continue;  // cannot improve

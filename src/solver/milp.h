@@ -14,6 +14,8 @@
 #define PROTEUS_SOLVER_MILP_H_
 
 #include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "solver/lp.h"
 #include "solver/simplex.h"
@@ -72,6 +74,14 @@ class MilpSolver
         double wall_seconds = 0.0;
     };
 
+    /**
+     * Builds a warm-start assignment from the root LP relaxation (an
+     * Optimal solution of the LP under the root bounds and
+     * Options::lp). An empty result means "no hint".
+     */
+    using HintBuilder =
+        std::function<std::vector<double>(const Solution& root)>;
+
     MilpSolver() : options_() {}
 
     explicit MilpSolver(const Options& options) : options_(options) {}
@@ -83,16 +93,20 @@ class MilpSolver
      * Solve @p lp to proven optimality (within the configured gap)
      * or until a limit is hit.
      *
-     * @param hint optional warm-start assignment. When it is feasible
-     *        and integral it seeds the incumbent, letting best-first
-     *        search prune immediately (the Proteus allocator passes
-     *        an LP-rounding repair solution here).
+     * @param hint optional warm-start builder. The root relaxation is
+     *        solved once, as node 1; when it is Optimal it is handed
+     *        to @p hint before node 1 is pruned or branched. A
+     *        returned assignment that is feasible and integral seeds
+     *        the incumbent, letting best-first search prune at once
+     *        (the Proteus allocator builds an LP-rounding and
+     *        local-search repair solution here). The time limit
+     *        covers building the hint.
      *
      * Solution::work reports branch-and-bound nodes; Solution::bound
      * reports the best proven dual bound in the model's sense.
      */
     Solution solve(const LinearProgram& lp,
-                   const std::vector<double>* hint = nullptr);
+                   const HintBuilder& hint = nullptr);
 
   private:
     Options options_;

@@ -74,6 +74,7 @@ class Tableau
     std::vector<char> nb_at_upper_; ///< nonbasic at upper bound?
     std::vector<double> xb_;        ///< values of basic variables
     std::vector<double> d_;         ///< reduced costs
+    std::vector<int> nz_cols_;      ///< nonzero columns of the pivot row
 
     std::int64_t iters_ = 0;
     int n_artificial_ = 0;
@@ -173,6 +174,7 @@ Tableau::buildInitialBasis()
     n_artificial_ = static_cast<int>(artif_row.size());
     n_ = n_slack_end + n_artificial_;
     stride_ = n_;
+    nz_cols_.reserve(static_cast<std::size_t>(n_));
 
     for (int k = 0; k < n_artificial_; ++k) {
         lo_.push_back(0.0);
@@ -430,12 +432,20 @@ Tableau::iterate(bool bland)
         nb_at_upper_[leave_col] = 0;
     pos_in_basis_[leave_col] = -1;
 
-    // Gaussian elimination on the tableau and the reduced-cost row.
+    // Gaussian elimination on the tableau and the reduced-cost row,
+    // over the scaled pivot row's nonzero columns only. A zero column
+    // would subtract f * 0, which leaves a nonzero entry bit-for-bit
+    // unchanged (at most the sign of a zero differs, and no decision
+    // reads that sign), so every pivot stays exactly the same.
     double piv = get(leave_row, enter);
     double* prow = &tab_[static_cast<std::size_t>(leave_row) * stride_];
     double inv = 1.0 / piv;
-    for (int j = 0; j < n_; ++j)
+    nz_cols_.clear();
+    for (int j = 0; j < n_; ++j) {
         prow[j] *= inv;
+        if (prow[j] != 0.0)
+            nz_cols_.push_back(j);
+    }
     for (int i = 0; i < m_; ++i) {
         if (i == leave_row)
             continue;
@@ -443,13 +453,13 @@ Tableau::iterate(bool bland)
         if (f == 0.0)
             continue;
         double* row = &tab_[static_cast<std::size_t>(i) * stride_];
-        for (int j = 0; j < n_; ++j)
+        for (int j : nz_cols_)
             row[j] -= f * prow[j];
         row[enter] = 0.0;
     }
     double df = d_[enter];
     if (df != 0.0) {
-        for (int j = 0; j < n_; ++j)
+        for (int j : nz_cols_)
             d_[j] -= df * prow[j];
         d_[enter] = 0.0;
     }

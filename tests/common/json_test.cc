@@ -121,5 +121,42 @@ TEST(JsonTest, KeysLists)
     ASSERT_EQ(keys.size(), 2u);
 }
 
+TEST(JsonTest, DeepNestingIsAParseErrorNotACrash)
+{
+    JsonValue v;
+    std::string err;
+    EXPECT_FALSE(parseJson(std::string(100000, '['), &v, &err));
+    EXPECT_EQ(err, "JSON nested deeper than 256 levels at offset 256");
+    std::string objects;
+    for (int i = 0; i < 300; ++i)
+        objects += "{\"a\": ";
+    EXPECT_FALSE(parseJson(objects, &v, &err));
+    EXPECT_EQ(err, "JSON nested deeper than 256 levels at offset " +
+                       std::to_string(256 * 6));
+}
+
+TEST(JsonTest, NestingUpToTheLimitParses)
+{
+    JsonValue v;
+    std::string err;
+    const std::string deep = std::string(kMaxJsonDepth, '[') +
+                             std::string(kMaxJsonDepth, ']');
+    ASSERT_TRUE(parseJson(deep, &v, &err)) << err;
+    int depth = 0;
+    const JsonValue* cur = &v;
+    while (cur->isArray()) {
+        ++depth;
+        if (cur->asArray().empty())
+            break;
+        cur = &cur->asArray()[0];
+    }
+    EXPECT_EQ(depth, kMaxJsonDepth);
+    // Closing a level frees it for a sibling.
+    EXPECT_TRUE(parseJson("[" + deep.substr(1, deep.size() - 2) + "," +
+                              deep.substr(1, deep.size() - 2) + "]",
+                          &v, &err))
+        << err;
+}
+
 }  // namespace
 }  // namespace proteus

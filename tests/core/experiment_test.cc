@@ -87,6 +87,45 @@ TEST(ExperimentTest, WorkloadKinds)
     EXPECT_GT(burst.trace.size(), 100u);
 }
 
+TEST(ExperimentTest, NonPositiveQpsIsAConfigError)
+{
+    // Each rate key reaches a generator that asserts on it; the config
+    // loader must reject it first with exit 1 and the key's name.
+    const struct {
+        const char* workload;
+        const char* message;
+    } cases[] = {
+        {R"({"kind": "steady", "qps": -5})", "workload \"qps\" must be"},
+        {R"({"kind": "steady", "qps": 0})", "workload \"qps\" must be"},
+        {R"({"kind": "burst", "low_qps": -1})",
+         "workload \"low_qps\" must be"},
+        {R"({"kind": "burst", "high_qps": 0})",
+         "workload \"high_qps\" must be"},
+        {R"({"kind": "diurnal", "base_qps": -30})",
+         "workload \"base_qps\" must be"},
+    };
+    for (const auto& c : cases) {
+        const std::string config = std::string(R"({"zoo": "mini",
+            "cluster": {"cpu": 1}, "workload": )") + c.workload + "}";
+        const JsonValue json = parse(config);
+        EXPECT_EXIT(loadExperiment(json), ::testing::ExitedWithCode(1),
+                    c.message)
+            << c.workload;
+    }
+}
+
+TEST(ExperimentTest, NonPositivePipelineQpsIsAConfigError)
+{
+    const JsonValue json = parse(R"({
+        "zoo": "mini", "cluster": {"cpu": 1},
+        "pipelines": [{"name": "p", "slo_multiplier": 2.0,
+                       "stages": [{"name": "a", "family": "resnet"}]}],
+        "workload": {"kind": "pipeline", "qps": -5}
+    })");
+    EXPECT_EXIT(loadExperiment(json), ::testing::ExitedWithCode(1),
+                "workload \"qps\" must be positive, got -5");
+}
+
 TEST(ExperimentTest, EndToEndRunFromConfig)
 {
     ExperimentSpec spec = loadExperiment(parse(R"({

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -157,6 +159,105 @@ TEST_P(RandomMixedMilpTest, IntegerSolutionNeverBeatsRelaxation)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomMixedMilpTest,
                          ::testing::Range(0, 20));
+
+/**
+ * The relaxation MilpSolver hands to its hint builder is its one root
+ * solve: bit-identical to a standalone SimplexSolver::solve under the
+ * same root bounds and LP options, delivered after exactly one LP
+ * solve. Odd seeds run the paranoid tableau self-check underneath.
+ */
+class RootHintTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RootHintTest, HintSeesTheStandaloneRootRelaxation)
+{
+    Rng rng(7000 + GetParam());
+    const int n = 7;
+    LinearProgram lp;
+    for (int j = 0; j < n; ++j) {
+        // Fractional integer bounds make the root bounds differ from
+        // the model bounds.
+        double lo = rng.uniform(-1.5, 0.5);
+        double hi = rng.uniform(2.0, 9.0);
+        if (j % 3 != 2)
+            lp.addIntVariable(lo, hi, rng.uniform(-4.0, 6.0));
+        else
+            lp.addVariable(lo, hi, rng.uniform(-4.0, 6.0));
+    }
+    for (int i = 0; i < 5; ++i) {
+        std::vector<Coeff> coeffs;
+        for (int j = 0; j < n; ++j) {
+            if (rng.uniform() < 0.6)
+                coeffs.emplace_back(j, rng.uniform(-3.0, 3.0));
+        }
+        if (coeffs.empty())
+            coeffs.emplace_back(0, 1.0);
+        double r = rng.uniform();
+        RowSense sense = r < 0.6 ? RowSense::LessEqual
+                         : r < 0.8 ? RowSense::GreaterEqual
+                                   : RowSense::Equal;
+        lp.addConstraint(std::move(coeffs), sense, rng.uniform(-2.0, 9.0));
+    }
+
+    MilpSolver::Options opts;
+    opts.lp.paranoid = GetParam() % 2 == 1;
+    MilpSolver milp(opts);
+    int calls = 0;
+    std::int64_t lp_solves_at_call = -1;
+    Solution seen;
+    milp.solve(lp, [&](const Solution& root) {
+        ++calls;
+        lp_solves_at_call = milp.lastStats().lp_solves;
+        seen = root;
+        return std::vector<double>{};
+    });
+
+    std::vector<std::pair<double, double>> root_bounds;
+    for (int j = 0; j < n; ++j) {
+        const auto& v = lp.variable(j);
+        if (v.is_integer) {
+            root_bounds.emplace_back(std::ceil(v.lo - opts.int_tol),
+                                     std::floor(v.hi + opts.int_tol));
+        } else {
+            root_bounds.emplace_back(v.lo, v.hi);
+        }
+    }
+    Solution ref = SimplexSolver(opts.lp).solve(lp, &root_bounds);
+    if (ref.status != SolveStatus::Optimal) {
+        EXPECT_EQ(calls, 0) << "seed " << GetParam();
+        return;
+    }
+    ASSERT_EQ(calls, 1) << "seed " << GetParam();
+    EXPECT_EQ(lp_solves_at_call, 1);
+    EXPECT_EQ(seen.status, ref.status);
+    EXPECT_EQ(seen.work, ref.work);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(seen.objective),
+              std::bit_cast<std::uint64_t>(ref.objective));
+    ASSERT_EQ(seen.x.size(), ref.x.size());
+    for (std::size_t j = 0; j < ref.x.size(); ++j) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(seen.x[j]),
+                  std::bit_cast<std::uint64_t>(ref.x[j]))
+            << "seed " << GetParam() << " column " << j;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RootHintTest, ::testing::Range(0, 60));
+
+TEST(MilpHintTest, FeasibleIntegralHintSeedsTheIncumbent)
+{
+    // max x + y, x + y <= 3.5, integers in [0, 3]: the hint (1, 2) is
+    // already optimal, so no search finds a better incumbent.
+    LinearProgram lp;
+    lp.addIntVariable(0.0, 3.0, 1.0);
+    lp.addIntVariable(0.0, 3.0, 1.0);
+    lp.addConstraint({{0, 1.0}, {1, 1.0}}, RowSense::LessEqual, 3.5);
+    MilpSolver milp;
+    Solution sol = milp.solve(lp, [](const Solution&) {
+        return std::vector<double>{1.0, 2.0};
+    });
+    ASSERT_EQ(sol.status, SolveStatus::Optimal);
+    EXPECT_EQ(sol.x, (std::vector<double>{1.0, 2.0}));
+    EXPECT_EQ(milp.lastStats().incumbents, 0);
+}
 
 }  // namespace
 }  // namespace proteus
