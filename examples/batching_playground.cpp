@@ -26,11 +26,10 @@ using namespace proteus;
 class Counter : public QueryObserver
 {
   public:
-    void onArrival(const Query&) override {}
     void
-    onFinished(const Query& q) override
+    onFinished(Query* q) override
     {
-        switch (q.status) {
+        switch (q->status) {
           case QueryStatus::Served: ++served; break;
           case QueryStatus::ServedLate: ++late; break;
           case QueryStatus::Dropped: ++dropped; break;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Inference query representation and the observer interface the
- * metrics layer implements.
+ * Inference query representation and the terminal-step interface the
+ * serving system implements.
  */
 
 #ifndef PROTEUS_CORE_QUERY_H_
@@ -113,17 +113,19 @@ traceQueryEnd(obs::Tracer* tracer, const Query& query,
     tracer->record(s);
 }
 
-/** Sink for query lifecycle events; implemented by the metrics layer. */
+/**
+ * Where a query's life ends. Workers and routers hand every query that
+ * reached a terminal state (served, late or dropped) to this step; the
+ * serving system implements it once: pipeline hop, counting, pool
+ * release.
+ */
 class QueryObserver
 {
   public:
     virtual ~QueryObserver() = default;
 
-    /** A query entered the system. */
-    virtual void onArrival(const Query& query) = 0;
-
-    /** A query reached a terminal state (served, late or dropped). */
-    virtual void onFinished(const Query& query) = 0;
+    /** @p query reached a terminal state; the callee may recycle it. */
+    virtual void onFinished(Query* query) = 0;
 };
 
 }  // namespace proteus

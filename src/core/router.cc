@@ -84,8 +84,6 @@ LoadBalancer::admit(Query* query, Time route_start, bool is_arrival)
     const Time now = sim_->now();
     query->routed_at = now;
     rate_.record(now);
-    if (is_arrival && observer_)
-        observer_->onArrival(*query);
 
     // Burst detection (monitoring daemon): demand sustained above the
     // provisioned capacity calls the controller, debounced to once
@@ -117,7 +115,7 @@ LoadBalancer::admit(Query* query, Time route_start, bool is_arrival)
         if (tracer_)
             traceQueryEnd(tracer_, *query);
         if (observer_)
-            observer_->onFinished(*query);
+            observer_->onFinished(query);
         return;
     }
 
@@ -158,7 +156,7 @@ LoadBalancer::resubmit(Query* query)
         if (tracer_)
             traceQueryEnd(tracer_, *query);
         if (observer_)
-            observer_->onFinished(*query);
+            observer_->onFinished(query);
         return;
     }
     worker->enqueue(query);

@@ -70,18 +70,16 @@ class LoadBalancer
     /**
      * Admit a query forwarded from an upstream pipeline stage: routed
      * and shed exactly like submit() — forwarded traffic is demand on
-     * this family, so it feeds the monitor window and the burst alarm
-     * — but without the arrival announcement (the query entered the
-     * system once, at its entry stage). The Route span starts at the
-     * previous stage's completion, making the cross-stage gap visible
-     * to the trace tooling.
+     * this family, so it feeds the monitor window and the burst alarm.
+     * The Route span starts at the previous stage's completion, making
+     * the cross-stage gap visible to the trace tooling.
      */
     void forward(Query* query);
 
     /**
      * Route a query that is already in the system (e.g. bounced by a
-     * worker during a variant swap); does not count as a new arrival
-     * and is never shed.
+     * worker during a variant swap); it is not new demand, so the
+     * monitor window does not see it, and it is never shed.
      */
     void resubmit(Query* query);
 

@@ -70,12 +70,17 @@ struct RunResult {
     std::uint64_t slo_alarms = 0;
     /** Stage completions forwarded between pipeline stages. */
     std::uint64_t forwarded = 0;
-    /** Per-pipeline e2e counters (empty without pipelines). */
+    /** Per-pipeline e2e and per-stage counters (empty without
+     *  pipelines); e2e counts are the entry family's totals. */
     std::vector<PipelineRunStats> pipelines;
 };
 
-/** Fully assembled inference-serving system on a simulated cluster. */
-class ServingSystem
+/**
+ * Fully assembled inference-serving system on a simulated cluster.
+ * Every query's life ends in its onFinished(): pipeline hop, counting,
+ * SLO monitor, pool release — in that order.
+ */
+class ServingSystem : private QueryObserver
 {
   public:
     /**
@@ -186,9 +191,10 @@ class ServingSystem
     }
 
   private:
+    /** The terminal step every worker and router reports to. */
+    void onFinished(Query* query) override;
     void applyPlan(const Allocation& plan);
     void injectArrivals();
-    void forwardQuery(Query* query);
     void registerTimeSeriesChannels();
     std::unique_ptr<BatchingPolicy> makeBatchingPolicy() const;
     std::unique_ptr<Allocator> makeAllocator();
@@ -210,15 +216,9 @@ class ServingSystem
     std::unique_ptr<obs::SloMonitor> slo_monitor_;
     /** Seeded reservoir of SLO-violating query ids (tail exemplars). */
     std::unique_ptr<obs::TailReservoir> tail_reservoir_;
-    /** Fan-out observer (metrics + SLO monitor) when obs is enabled. */
-    std::unique_ptr<QueryObserver> fanout_;
-    /** Recycles finished queries into the pool after the sinks ran. */
-    std::unique_ptr<QueryObserver> pool_release_;
-    /** Outermost observer when pipelines are configured: intercepts
-     *  intermediate stage completions before slot release / metrics. */
+    /** Advances pipeline queries between stages (null without
+     *  pipelines). */
     std::unique_ptr<StageRouter> stage_router_;
-    /** The observer every component reports to. */
-    QueryObserver* observer_ = nullptr;
 
     std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::unique_ptr<LoadBalancer>> balancers_;

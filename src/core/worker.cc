@@ -45,7 +45,7 @@ Worker::bounce(Query* query)
     if (tracer_)
         traceQueryEnd(tracer_, *query);
     if (observer_)
-        observer_->onFinished(*query);
+        observer_->onFinished(query);
 }
 
 void
@@ -265,7 +265,7 @@ Worker::dropFront(int count)
         if (tracer_)
             traceQueryEnd(tracer_, *q);
         if (observer_)
-            observer_->onFinished(*q);
+            observer_->onFinished(q);
     }
 }
 
@@ -417,7 +417,7 @@ Worker::finishBatch(VariantId executed_variant)
             traceQueryEnd(tracer_, *q, executed_variant);
         }
         if (observer_)
-            observer_->onFinished(*q);
+            observer_->onFinished(q);
     }
     if (tracer_) {
         obs::SpanRecord s;

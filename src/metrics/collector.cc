@@ -26,19 +26,19 @@ MetricsCollector::start()
 }
 
 void
-MetricsCollector::onArrival(const Query& query)
+MetricsCollector::countArrival(FamilyId family)
 {
-    PROTEUS_ASSERT(query.family < num_families_, "family out of range");
+    PROTEUS_ASSERT(family < num_families_, "family out of range");
     ++current_.arrivals;
-    ++current_family_[query.family].arrivals;
+    ++current_family_[family].arrivals;
     ++totals_.arrivals;
-    ++family_totals_[query.family].arrivals;
+    ++family_totals_[family].arrivals;
 }
 
 void
-MetricsCollector::onFinished(const Query& query)
+MetricsCollector::countFinished(const Query& query)
 {
-    PROTEUS_ASSERT(query.finished(), "onFinished with pending query");
+    PROTEUS_ASSERT(query.finished(), "countFinished with pending query");
     auto apply = [&](IntervalCounters& c) {
         switch (query.status) {
           case QueryStatus::Served:

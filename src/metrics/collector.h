@@ -129,8 +129,8 @@ struct RunSummary {
     }
 };
 
-/** Query-lifecycle observer building the timeseries and summary. */
-class MetricsCollector : public QueryObserver
+/** Per-family query counters building the timeseries and summary. */
+class MetricsCollector
 {
   public:
     MetricsCollector(Simulator* sim, std::size_t num_families,
@@ -139,8 +139,11 @@ class MetricsCollector : public QueryObserver
     /** Start the periodic snapshot task. */
     void start();
 
-    void onArrival(const Query& query) override;
-    void onFinished(const Query& query) override;
+    /** A query of @p family entered the system. */
+    void countArrival(FamilyId family);
+
+    /** @p query reached its terminal state (counted once). */
+    void countFinished(const Query& query);
 
     /**
      * A device died carrying @p capacity_lost_qps of provisioned

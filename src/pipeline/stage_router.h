@@ -1,24 +1,20 @@
 /**
  * @file
- * StageRouter: the outermost query observer when pipelines are
- * configured (DESIGN.md, "Pipeline serving").
+ * StageRouter: moves pipeline queries from stage to stage (DESIGN.md,
+ * "Pipeline serving").
  *
- * Workers report every terminal outcome through the observer chain.
- * For single-family queries the router is a pass-through (one integer
- * compare). For pipeline queries it intercepts *intermediate* stage
- * completions — accumulates the accuracy product, advances the stage
- * cursor, retargets the query at the next stage's family and hands it
- * to the forward callback — without letting the inner chain see the
- * event, so metrics are not double-counted and the pooled slot is not
- * released while the query is still alive. Terminal outcomes (final
- * stage, or a drop anywhere) fold the product into the query's
- * accuracy, remap it to the entry family (so the existing per-family
- * metrics ARE the end-to-end pipeline metrics) and flow through the
- * inner chain once, exactly like a single-family query.
+ * ServingSystem's terminal step calls advance() on every query that
+ * reaches a terminal state. For single-family queries it is one
+ * integer compare. For a pipeline query that completed an
+ * intermediate stage it folds the stage's accuracy into the product,
+ * advances the stage cursor and retargets the query at the next
+ * stage's family; the caller then forwards it instead of counting it.
+ * Terminal outcomes (final stage, or a drop anywhere) fold the product
+ * into the query's accuracy and remap it to the entry family, so the
+ * entry family's metrics counters ARE the end-to-end pipeline numbers.
  *
- * Zero hot-path allocations: the forward callback is a raw function
- * pointer + context installed once at wiring time, and all counters
- * are preallocated per (pipeline, stage).
+ * Zero hot-path allocations: the per-stage counters are preallocated
+ * per (pipeline, stage).
  */
 
 #ifndef PROTEUS_PIPELINE_STAGE_ROUTER_H_
@@ -43,7 +39,10 @@ struct StageStats {
     std::uint64_t dropped = 0;
 };
 
-/** Per-pipeline end-to-end counters. */
+/**
+ * Per-pipeline counters surfaced in RunResult. The end-to-end fields
+ * are the entry family's terminal counts.
+ */
 struct PipelineStats {
     /** End-to-end completions within the e2e SLO. */
     std::uint64_t served = 0;
@@ -60,51 +59,41 @@ struct PipelineRunStats {
     PipelineStats stats;
 };
 
-/** Observer that forwards completed stages to the next family. */
-class StageRouter : public QueryObserver
+/** Advances finished pipeline stages to the next family. */
+class StageRouter
 {
   public:
-    /**
-     * Forward callback: re-inject @p query (already retargeted at its
-     * next stage's family) into the serving path. A raw function
-     * pointer + context — not std::function — so installing and
-     * invoking it never allocates (lint rule A1).
-     */
-    using ForwardFn = void (*)(void* ctx, Query* query);
-
-    StageRouter(QueryObserver* inner,
-                const CompiledPipelines* pipelines);
+    explicit StageRouter(const CompiledPipelines* pipelines);
 
     StageRouter(const StageRouter&) = delete;
     StageRouter& operator=(const StageRouter&) = delete;
 
-    /** Install the forward callback (wiring time, once). */
-    void
-    setForwarder(ForwardFn fn, void* ctx)
-    {
-        forward_ = fn;
-        ctx_ = ctx;
-    }
-
     /** Attach the span tracer (nullptr = tracing off, the default). */
     void setTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-    void onArrival(const Query& query) override;
-    void onFinished(const Query& query) override;
+    /**
+     * Step @p query, which just reached a terminal state at its
+     * current stage.
+     * @return true when it completed an intermediate stage and now
+     *         targets the next stage (still in flight, to be
+     *         forwarded); false when its life ends here.
+     */
+    bool advance(Query* query);
 
-    /** @return counters for pipeline @p p. */
-    const PipelineStats& stats(PipelineId p) const { return stats_[p]; }
+    /** @return per-stage counters of pipeline @p p. */
+    const std::vector<StageStats>&
+    stageStats(PipelineId p) const
+    {
+        return stages_[p];
+    }
 
     /** @return stage completions forwarded across all pipelines. */
     std::uint64_t forwarded() const { return forwarded_; }
 
   private:
-    QueryObserver* inner_;
     const CompiledPipelines* pipelines_;
-    ForwardFn forward_ = nullptr;
-    void* ctx_ = nullptr;
     obs::Tracer* tracer_ = nullptr;
-    std::vector<PipelineStats> stats_;
+    std::vector<std::vector<StageStats>> stages_;
     std::uint64_t forwarded_ = 0;
 };
 

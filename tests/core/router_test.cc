@@ -17,16 +17,14 @@ using testing::World;
 class Recorder : public QueryObserver
 {
   public:
-    void onArrival(const Query&) override { ++arrivals; }
     void
-    onFinished(const Query& q) override
+    onFinished(Query* q) override
     {
-        if (q.status == QueryStatus::Dropped)
+        if (q->status == QueryStatus::Dropped)
             ++dropped;
         else
             ++served;
     }
-    int arrivals = 0;
     int served = 0;
     int dropped = 0;
 };
@@ -185,7 +183,6 @@ TEST(RouterTest, ResubmitDoesNotCountArrival)
     Query* q = fix.makeQuery(0);
     fix.sim.scheduleAt(0, [&] { fix.lb->resubmit(q); });
     fix.sim.run();
-    EXPECT_EQ(fix.rec.arrivals, 0);
     EXPECT_EQ(fix.rec.served, 1);
 }
 

@@ -18,13 +18,11 @@ using testing::World;
 class Recorder : public QueryObserver
 {
   public:
-    void onArrival(const Query&) override { ++arrivals; }
     void
-    onFinished(const Query& q) override
+    onFinished(Query* q) override
     {
-        finished.push_back(q);
+        finished.push_back(*q);
     }
-    int arrivals = 0;
     std::vector<Query> finished;
 };
 

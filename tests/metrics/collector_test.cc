@@ -23,14 +23,12 @@ TEST(MetricsCollectorTest, CountsByStatus)
     Simulator sim;
     MetricsCollector mc(&sim, 2, seconds(10.0));
     mc.start();
-    Query q;
-    q.family = 0;
-    mc.onArrival(q);
-    mc.onArrival(q);
-    mc.onArrival(q);
-    mc.onFinished(finishedQuery(0, QueryStatus::Served, 95.0));
-    mc.onFinished(finishedQuery(0, QueryStatus::ServedLate, 90.0));
-    mc.onFinished(finishedQuery(0, QueryStatus::Dropped, 0.0));
+    mc.countArrival(0);
+    mc.countArrival(0);
+    mc.countArrival(0);
+    mc.countFinished(finishedQuery(0, QueryStatus::Served, 95.0));
+    mc.countFinished(finishedQuery(0, QueryStatus::ServedLate, 90.0));
+    mc.countFinished(finishedQuery(0, QueryStatus::Dropped, 0.0));
     mc.finalize();
     RunSummary s = mc.summary();
     EXPECT_EQ(s.arrivals, 3u);
@@ -47,10 +45,8 @@ TEST(MetricsCollectorTest, PerFamilyTotals)
     Simulator sim;
     MetricsCollector mc(&sim, 3, seconds(10.0));
     mc.start();
-    Query q;
-    q.family = 2;
-    mc.onArrival(q);
-    mc.onFinished(finishedQuery(2, QueryStatus::Served, 88.0));
+    mc.countArrival(2);
+    mc.countFinished(finishedQuery(2, QueryStatus::Served, 88.0));
     mc.finalize();
     const auto& fam = mc.familyTotals();
     EXPECT_EQ(fam[2].arrivals, 1u);
@@ -67,10 +63,8 @@ TEST(MetricsCollectorTest, IntervalsCommitOnSchedule)
     std::deque<Query> arena;
     for (int i = 0; i < 35; ++i) {
         sim.scheduleAt(seconds(i) + 1, [&mc] {
-            Query q;
-            q.family = 0;
-            mc.onArrival(q);
-            mc.onFinished(finishedQuery(0, QueryStatus::Served, 100.0));
+            mc.countArrival(0);
+            mc.countFinished(finishedQuery(0, QueryStatus::Served, 100.0));
         });
     }
     sim.run(seconds(35.0));
@@ -87,10 +81,10 @@ TEST(MetricsCollectorTest, MaxAccuracyDropUsesWorstInterval)
     mc.start();
     // First interval at 100, second at 90.
     sim.scheduleAt(seconds(1.0), [&] {
-        mc.onFinished(finishedQuery(0, QueryStatus::Served, 100.0));
+        mc.countFinished(finishedQuery(0, QueryStatus::Served, 100.0));
     });
     sim.scheduleAt(seconds(15.0), [&] {
-        mc.onFinished(finishedQuery(0, QueryStatus::Served, 90.0));
+        mc.countFinished(finishedQuery(0, QueryStatus::Served, 90.0));
     });
     sim.run(seconds(25.0));
     mc.finalize();
@@ -103,7 +97,7 @@ TEST(MetricsCollectorTest, EmptyIntervalsDontPolluteDrop)
     MetricsCollector mc(&sim, 1, seconds(10.0));
     mc.start();
     sim.scheduleAt(seconds(1.0), [&] {
-        mc.onFinished(finishedQuery(0, QueryStatus::Served, 99.0));
+        mc.countFinished(finishedQuery(0, QueryStatus::Served, 99.0));
     });
     // Long silence afterwards.
     sim.run(seconds(60.0));

@@ -27,7 +27,9 @@
  *
  * Exit codes: 0 = within tolerance, 1 = regression (or schema/name
  * mismatch, or a baseline report missing from the candidate side),
- * 2 = usage or IO error.
+ * 2 = usage or IO error, or a malformed report (a non-numeric
+ * "schema", a non-string "bench", or a non-numeric leaf under
+ * "results"; the diagnostic names the file and the key).
  */
 
 #include <algorithm>
@@ -108,7 +110,8 @@ usage(std::ostream& os)
           "  --stats      CI-overlap gating where _ci95 data exists\n"
           "  --help       this text\n"
           "\n"
-          "exit codes: 0 ok, 1 findings or error, 2 usage\n";
+          "exit codes: 0 ok, 1 findings or mismatch, 2 usage, IO error "
+          "or malformed report\n";
 }
 
 struct Finding {
@@ -127,30 +130,74 @@ fmt(double v)
     return buf;
 }
 
+/** The parts of a BENCH report the comparison reads. */
+struct Report {
+    double schema = 1.0;
+    std::string bench;
+    /** Every leaf under "results" as flat "<system>/<metric>" (or
+     *  "<key>" for scalar entries) → value. */
+    std::map<std::string, double> values;
+};
+
 /**
- * Collect every numeric leaf under "results" as flat
- * "<system>/<metric>" (or "<key>" for scalar entries) → value.
+ * Parse and check the report at @p path. A metric that is not a
+ * number would otherwise never be gated, so it is an error, not a
+ * skip.
+ * @return false, after a diagnostic naming the file and the key, when
+ *         the file does not parse or the report is malformed.
  */
-std::map<std::string, double>
-flattenResults(const JsonValue& report)
+bool
+loadReport(const std::string& path, Report* out)
 {
-    std::map<std::string, double> out;
-    if (!report.has("results") || !report.at("results").isObject())
-        return out;
-    const JsonValue& results = report.at("results");
+    JsonValue doc;
+    std::string error;
+    if (!proteus::parseJsonFile(path, &doc, &error)) {
+        std::cerr << "bench_diff: cannot parse " << path << ": " << error
+                  << "\n";
+        return false;
+    }
+    const auto malformed = [&path](const std::string& key,
+                                   const char* expected) {
+        std::cerr << "bench_diff: malformed report " << path << ": \""
+                  << key << "\" is not " << expected << "\n";
+        return false;
+    };
+    if (!doc.isObject())
+        return malformed("(root)", "an object");
+    if (doc.has("schema")) {
+        if (!doc.at("schema").isNumber())
+            return malformed("schema", "a number");
+        out->schema = doc.at("schema").asNumber();
+    }
+    if (doc.has("bench")) {
+        if (!doc.at("bench").isString())
+            return malformed("bench", "a string");
+        out->bench = doc.at("bench").asString();
+    }
+    if (!doc.has("results"))
+        return true;
+    const JsonValue& results = doc.at("results");
+    if (!results.isObject())
+        return malformed("results", "an object");
     for (const std::string& key : results.keys()) {
         const JsonValue& entry = results.at(key);
         if (entry.isNumber()) {
-            out[key] = entry.asNumber();
-        } else if (entry.isObject()) {
-            for (const std::string& metric : entry.keys()) {
-                const JsonValue& v = entry.at(metric);
-                if (v.isNumber())
-                    out[key + "/" + metric] = v.asNumber();
-            }
+            out->values[key] = entry.asNumber();
+            continue;
+        }
+        if (!entry.isObject()) {
+            return malformed("results/" + key,
+                             "a number or an object of numbers");
+        }
+        for (const std::string& metric : entry.keys()) {
+            const JsonValue& v = entry.at(metric);
+            if (!v.isNumber())
+                return malformed("results/" + key + "/" + metric,
+                                 "a number");
+            out->values[key + "/" + metric] = v.asNumber();
         }
     }
-    return out;
+    return true;
 }
 
 /** Leaf metric name of a flattened key ("sys/metric" or "metric"). */
@@ -163,52 +210,40 @@ metricOf(const std::string& key)
 
 /**
  * Compare one baseline/candidate report pair.
- * @return 0 ok, 1 regression or mismatch, 2 parse error.
+ * @return 0 ok, 1 regression or mismatch, 2 parse error or malformed
+ *         report.
  */
 int
 diffReports(const std::string& base_path, const std::string& cand_path,
             const Tolerances& tol, std::vector<Finding>* findings)
 {
-    JsonValue base, cand;
-    std::string error;
-    if (!proteus::parseJsonFile(base_path, &base, &error)) {
-        std::cerr << "bench_diff: cannot parse " << base_path << ": "
-                  << error << "\n";
+    Report base, cand;
+    if (!loadReport(base_path, &base) || !loadReport(cand_path, &cand))
         return 2;
-    }
-    if (!proteus::parseJsonFile(cand_path, &cand, &error)) {
-        std::cerr << "bench_diff: cannot parse " << cand_path << ": "
-                  << error << "\n";
-        return 2;
-    }
 
-    const double base_schema = base.numberOr("schema", 1.0);
-    const double cand_schema = cand.numberOr("schema", 1.0);
-    if (base_schema != cand_schema) {
+    if (base.schema != cand.schema) {
         std::cerr << "bench_diff: schema mismatch: " << base_path
-                  << " has schema " << fmt(base_schema) << ", "
-                  << cand_path << " has schema " << fmt(cand_schema)
+                  << " has schema " << fmt(base.schema) << ", "
+                  << cand_path << " has schema " << fmt(cand.schema)
                   << " — refusing to compare\n";
         return 1;
     }
-    const std::string base_bench = base.stringOr("bench", "");
-    const std::string cand_bench = cand.stringOr("bench", "");
-    if (base_bench != cand_bench) {
-        std::cerr << "bench_diff: bench name mismatch: \"" << base_bench
-                  << "\" vs \"" << cand_bench
+    if (base.bench != cand.bench) {
+        std::cerr << "bench_diff: bench name mismatch: \"" << base.bench
+                  << "\" vs \"" << cand.bench
                   << "\" — refusing to compare\n";
         return 1;
     }
 
-    const auto base_vals = flattenResults(base);
-    const auto cand_vals = flattenResults(cand);
+    const auto& base_vals = base.values;
+    const auto& cand_vals = cand.values;
     bool regressed = false;
     for (const auto& [key, bval] : base_vals) {
         if (isCiKey(metricOf(key)))
             continue;  // CI half-widths are metadata, not metrics
         auto it = cand_vals.find(key);
         if (it == cand_vals.end()) {
-            std::cerr << "bench_diff: " << base_bench << "/" << key
+            std::cerr << "bench_diff: " << base.bench << "/" << key
                       << " missing from candidate\n";
             regressed = true;
             continue;
@@ -237,7 +272,7 @@ diffReports(const std::string& base_path, const std::string& cand_path,
         }
         if (worse > allowed) {
             regressed = true;
-            findings->push_back(Finding{base_bench + "/" + key, bval,
+            findings->push_back(Finding{base.bench + "/" + key, bval,
                                         cval, worse, allowed});
         }
     }

@@ -12,15 +12,20 @@
  * into the exact segment partition (obs/lineage.h), aggregating
  * per-family/per-variant blame tables (JSON via --blame-json).
  *
- * Exit codes: 0 = ok, 1 = findings or error (unreadable trace,
- * inexact partition), 2 = usage.
+ * Exit codes: 0 = ok, 1 = findings or error (unreadable or malformed
+ * trace, inexact partition), 2 = usage. A trace is malformed when
+ * traceEvents or links is not an array of objects, a ts/dur/arg
+ * value is not a number, a dur is negative, or an otherData name
+ * table has the wrong shape; the diagnostic names the entry.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <string>
@@ -125,6 +130,141 @@ parseNameTables(const JsonValue& doc)
         }
     }
     return names;
+}
+
+const char*
+typeName(JsonValue::Type t)
+{
+    switch (t) {
+      case JsonValue::Type::Null: return "null";
+      case JsonValue::Type::Bool: return "a bool";
+      case JsonValue::Type::Number: return "a number";
+      case JsonValue::Type::String: return "a string";
+      case JsonValue::Type::Array: return "an array";
+      case JsonValue::Type::Object: return "an object";
+    }
+    return "unknown";
+}
+
+/**
+ * Check every part of @p doc the analysis reads, before any of it
+ * runs, so a malformed file is a diagnostic instead of an abort.
+ * @return "" when well formed, else what is wrong and where, e.g.
+ *         "traceEvents[3].dur is -5, expected >= 0".
+ */
+std::string
+checkTrace(const JsonValue& doc)
+{
+    using Type = JsonValue::Type;
+    std::string err;
+    const auto need = [&err](const JsonValue& v, Type t,
+                             const std::string& where) {
+        if (err.empty() && v.type() != t) {
+            err = where + " is " + typeName(v.type()) + ", expected " +
+                  typeName(t);
+        }
+        return err.empty();
+    };
+    // Optional members: absent is fine, present must have type t.
+    const auto opt = [&need](const JsonValue& obj,
+                             std::initializer_list<const char*> keys,
+                             Type t, const std::string& where) {
+        for (const char* key : keys) {
+            if (obj.has(key) &&
+                !need(obj.at(key), t, where + "." + key)) {
+                return false;
+            }
+        }
+        return true;
+    };
+    const auto arrayOf = [&need](const JsonValue& v, Type t,
+                                 const std::string& where) {
+        if (!need(v, Type::Array, where))
+            return false;
+        const std::vector<JsonValue>& items = v.asArray();
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            if (!need(items[i], t, where + "[" + std::to_string(i) + "]"))
+                return false;
+        }
+        return true;
+    };
+
+    if (!arrayOf(doc.at("traceEvents"), Type::Object, "traceEvents"))
+        return err;
+    const std::vector<JsonValue>& events = doc.at("traceEvents").asArray();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const JsonValue& e = events[i];
+        const std::string where = "traceEvents[" + std::to_string(i) + "]";
+        if (!opt(e, {"name"}, Type::String, where) ||
+            !opt(e, {"ts", "dur"}, Type::Number, where) ||
+            !opt(e, {"args"}, Type::Object, where)) {
+            return err;
+        }
+        if (e.has("dur") && e.at("dur").asNumber() < 0.0) {
+            char dur[32];
+            std::snprintf(dur, sizeof(dur), "%g", e.at("dur").asNumber());
+            return where + ".dur is " + dur + ", expected >= 0";
+        }
+        if (e.has("args")) {
+            const JsonValue& args = e.at("args");
+            for (const std::string& key : args.keys()) {
+                if (!need(args.at(key), Type::Number,
+                          where + ".args." + key)) {
+                    return err;
+                }
+            }
+        }
+    }
+    if (doc.has("links")) {
+        if (!arrayOf(doc.at("links"), Type::Object, "links"))
+            return err;
+        const std::vector<JsonValue>& links = doc.at("links").asArray();
+        for (std::size_t i = 0; i < links.size(); ++i) {
+            const std::string where = "links[" + std::to_string(i) + "]";
+            if (!opt(links[i], {"k"}, Type::String, where) ||
+                !opt(links[i], {"ts", "from", "to", "aux"}, Type::Number,
+                     where)) {
+                return err;
+            }
+        }
+    }
+    if (doc.has("otherData")) {
+        const JsonValue& other = doc.at("otherData");
+        if (!need(other, Type::Object, "otherData") ||
+            !opt(other, {"spans_recorded", "spans_dropped"}, Type::Number,
+                 "otherData")) {
+            return err;
+        }
+        for (const char* key : {"families", "variants"}) {
+            if (other.has(key) &&
+                !arrayOf(other.at(key), Type::String,
+                         std::string("otherData.") + key)) {
+                return err;
+            }
+        }
+        if (other.has("tail_exemplars") &&
+            !arrayOf(other.at("tail_exemplars"), Type::Number,
+                     "otherData.tail_exemplars")) {
+            return err;
+        }
+        if (other.has("pipelines")) {
+            const JsonValue& pipes = other.at("pipelines");
+            if (!arrayOf(pipes, Type::Object, "otherData.pipelines"))
+                return err;
+            for (std::size_t i = 0; i < pipes.asArray().size(); ++i) {
+                const JsonValue& p = pipes.asArray()[i];
+                const std::string where =
+                    "otherData.pipelines[" + std::to_string(i) + "]";
+                if (!opt(p, {"name"}, Type::String, where) ||
+                    (p.has("stages") &&
+                     !arrayOf(p.at("stages"), Type::String,
+                              where + ".stages"))) {
+                    return err;
+                }
+            }
+        }
+    }
+    return err;
 }
 
 /**
@@ -324,6 +464,12 @@ main(int argc, char** argv)
     }
     if (!doc.isObject() || !doc.has("traceEvents")) {
         std::cerr << path << " is not a Chrome trace-event file\n";
+        return 1;
+    }
+    const std::string malformed = checkTrace(doc);
+    if (!malformed.empty()) {
+        std::cerr << "proteus_trace: malformed trace " << path << ": "
+                  << malformed << "\n";
         return 1;
     }
 
