@@ -6,6 +6,14 @@
 #include "common/logging.h"
 
 namespace proteus {
+namespace {
+
+/** Surplus factor above which accuracy upgrades are attempted. */
+constexpr double kUpgradeSurplus = 1.5;
+/** Safety cap on greedy iterations per family. */
+constexpr int kMaxSteps = 64;
+
+}  // namespace
 
 InfaasAllocator::InfaasAllocator(const ModelRegistry* registry,
                                  const Cluster* cluster,
@@ -100,7 +108,7 @@ InfaasAllocator::allocate(const AllocationInput& input)
             continue;
         int steps = 0;
         while (familyCapacity(hosting, f) < target(f) &&
-               steps++ < options_.max_steps) {
+               steps++ < kMaxSteps) {
             double deficit = target(f) - familyCapacity(hosting, f);
 
             // Step 1: best single-device downgrade within the family.
@@ -195,9 +203,9 @@ InfaasAllocator::allocate(const AllocationInput& input)
         if (input.demand_qps[f] <= 0.0)
             continue;
         int steps = 0;
-        while (steps++ < options_.max_steps) {
+        while (steps++ < kMaxSteps) {
             double cap = familyCapacity(hosting, f);
-            if (cap < target(f) * options_.upgrade_surplus)
+            if (cap < target(f) * kUpgradeSurplus)
                 break;
             // Upgrade the least accurate hosted variant one step.
             DeviceId up_dev = kInvalidId;

@@ -40,10 +40,6 @@ namespace proteus {
 struct InfaasOptions {
     /** Target capacity = demand * headroom before it stops scaling. */
     double headroom = 1.05;
-    /** Surplus factor above which accuracy upgrades are attempted. */
-    double upgrade_surplus = 1.5;
-    /** Safety cap on greedy iterations per family. */
-    int max_steps = 64;
 };
 
 /** Greedy dynamic allocator (INFaaS-Accuracy). */

@@ -22,28 +22,9 @@ namespace proteus {
 class NexusBatching : public BatchingPolicy
 {
   public:
-    /**
-     * @param eager_backlog_drop if true, also shed head queries that
-     *        cannot survive the full batch they would ride in when a
-     *        backlog has formed. The paper describes only the lazy
-     *        rule ("drop queries that cannot meet the deadline even
-     *        executed immediately") plus a head-bounded batch size —
-     *        which burns capacity rescuing stale heads with small
-     *        batches under sustained backlog, the behaviour its
-     *        evaluation penalizes (2-3x more violations than Proteus
-     *        on bursty arrivals, §6.4). The eager variant closes most
-     *        of that gap; EXPERIMENTS.md reports both.
-     */
-    explicit NexusBatching(bool eager_backlog_drop = false)
-        : eager_backlog_drop_(eager_backlog_drop)
-    {}
-
     BatchAction decide(const WorkerView& view) override;
 
     const char* name() const override { return "nexus-early-drop"; }
-
-  private:
-    bool eager_backlog_drop_;
 };
 
 }  // namespace proteus

@@ -1,67 +1,8 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace proteus {
-
-void
-OnlineStats::add(double x)
-{
-    if (count_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++count_;
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-}
-
-double
-OnlineStats::variance() const
-{
-    if (count_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(count_);
-}
-
-double
-OnlineStats::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-void
-OnlineStats::reset()
-{
-    count_ = 0;
-    mean_ = 0.0;
-    m2_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-}
-
-void
-Ewma::add(double x)
-{
-    if (!initialized_) {
-        value_ = x;
-        initialized_ = true;
-    } else {
-        value_ = alpha_ * x + (1.0 - alpha_) * value_;
-    }
-}
-
-void
-Ewma::reset()
-{
-    value_ = 0.0;
-    initialized_ = false;
-}
 
 void
 WindowedRate::record(Time now)

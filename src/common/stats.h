@@ -1,8 +1,8 @@
 /**
  * @file
- * Small statistics helpers: online mean/variance, exponentially
- * weighted moving averages, sliding-window rate estimation and
- * percentiles. Used by the monitoring daemons and the metrics layer.
+ * Small statistics helpers: sliding-window rate estimation, used by
+ * the load balancers' demand monitor, and percentiles, used by the
+ * trace tools.
  */
 
 #ifndef PROTEUS_COMMON_STATS_H_
@@ -15,67 +15,6 @@
 #include "common/types.h"
 
 namespace proteus {
-
-/** Welford online mean / variance accumulator. */
-class OnlineStats
-{
-  public:
-    /** Add one sample. */
-    void add(double x);
-
-    /** @return the number of samples seen. */
-    std::size_t count() const { return count_; }
-
-    /** @return the running mean (0 when empty). */
-    double mean() const { return count_ ? mean_ : 0.0; }
-
-    /** @return the running population variance (0 when < 2 samples). */
-    double variance() const;
-
-    /** @return the running standard deviation. */
-    double stddev() const;
-
-    /** @return the smallest sample seen (0 when empty). */
-    double min() const { return count_ ? min_ : 0.0; }
-
-    /** @return the largest sample seen (0 when empty). */
-    double max() const { return count_ ? max_ : 0.0; }
-
-    /** Reset to the empty state. */
-    void reset();
-
-  private:
-    std::size_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/** Exponentially weighted moving average with configurable smoothing. */
-class Ewma
-{
-  public:
-    /** @param alpha weight of the newest observation in (0, 1]. */
-    explicit Ewma(double alpha = 0.3) : alpha_(alpha) {}
-
-    /** Fold one observation into the average. */
-    void add(double x);
-
-    /** @return the current average (0 before the first sample). */
-    double value() const { return value_; }
-
-    /** @return true once at least one sample has been folded in. */
-    bool initialized() const { return initialized_; }
-
-    /** Reset to the uninitialized state. */
-    void reset();
-
-  private:
-    double alpha_;
-    double value_ = 0.0;
-    bool initialized_ = false;
-};
 
 /**
  * Sliding-window event counter used to estimate query demand (QPS)

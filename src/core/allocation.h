@@ -103,6 +103,8 @@ struct AllocatorSolveMeta {
     std::int64_t nodes = 0;
     /** Simplex iterations across all LP relaxations. */
     std::int64_t simplex_iterations = 0;
+    /** LP relaxations solved (B&B nodes plus heuristic dives). */
+    std::int64_t lp_solves = 0;
     /** Final relative incumbent/bound gap (0 when proven optimal). */
     double gap = 0.0;
     /** Infeasibility backoff steps taken (§4 demand scale-down). */

@@ -93,14 +93,8 @@ StaticBatching::decide(const WorkerView& view)
 {
     BatchAction action;
     const auto& queue = *view.queue;
-    if (queue.empty())
-        return action;
-    int cap = std::max(
-        1, std::min(batch_size_, view.profile->max_batch > 0
-                                     ? view.profile->max_batch
-                                     : 1));
-    action.execute =
-        std::min(cap, static_cast<int>(queue.size()));
+    if (!queue.empty())
+        action.execute = 1;
     return action;
 }
 

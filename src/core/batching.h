@@ -24,9 +24,6 @@
 #ifndef PROTEUS_CORE_BATCHING_H_
 #define PROTEUS_CORE_BATCHING_H_
 
-#include <functional>
-#include <memory>
-
 #include "common/alloc/ring_queue.h"
 #include "common/types.h"
 #include "core/query.h"
@@ -82,11 +79,6 @@ class BatchingPolicy
     virtual const char* name() const = 0;
 };
 
-/** Factory so each worker gets its own (stateful) policy instance. */
-using BatchingPolicyFactory =
-    // NOLINTNEXTLINE-PROTEUS(A1): construction-time factory, not per-query
-    std::function<std::unique_ptr<BatchingPolicy>()>;
-
 /**
  * Proteus adaptive batching (paper §5): proactive,
  * non-work-conserving.
@@ -112,22 +104,15 @@ class ProteusBatching : public BatchingPolicy
 };
 
 /**
- * Fixed-size batching (batch = 1 by default): the "Proteus w/o AB"
- * ablation (§6.5). Work-conserving, never waits.
+ * Batch of one: the "Proteus w/o AB" ablation (§6.5).
+ * Work-conserving, never waits.
  */
 class StaticBatching : public BatchingPolicy
 {
   public:
-    explicit StaticBatching(int batch_size = 1)
-        : batch_size_(batch_size)
-    {}
-
     BatchAction decide(const WorkerView& view) override;
 
     const char* name() const override { return "static"; }
-
-  private:
-    int batch_size_;
 };
 
 /** Count queries at the queue front that can no longer meet the SLO

@@ -44,6 +44,50 @@ batchingKindFromName(const std::string& name)
 
 namespace {
 
+/** The range a checked config number must lie in. */
+enum class Range {
+    Positive,     ///< > 0: rates, multipliers, budgets
+    Seconds,      ///< a duration of at least one clock tick (1 us)
+    Size,         ///< a capacity of at least one item
+    NonNegative,  ///< >= 0: device counts
+};
+
+/**
+ * Number @p key of the config object @p scope names (@p fallback when
+ * absent). The components these keys reach assert on values outside
+ * @p range, so a config that asks for one is rejected here with a
+ * diagnostic naming the key (exit 1) instead.
+ */
+double
+checkedNumber(const JsonValue& obj, const char* scope, const char* key,
+              double fallback, Range range)
+{
+    const double v = obj.numberOr(key, fallback);
+    bool ok = false;
+    const char* expected = "";
+    switch (range) {
+      case Range::Positive:
+        ok = v > 0.0;
+        expected = "positive";
+        break;
+      case Range::Seconds:
+        ok = v >= 1e-6;
+        expected = "at least 1e-06 (one microsecond)";
+        break;
+      case Range::Size:
+        ok = v >= 1.0;
+        expected = "at least 1";
+        break;
+      case Range::NonNegative:
+        ok = v >= 0.0;
+        expected = "non-negative";
+        break;
+    }
+    if (!ok)
+        PROTEUS_FATAL(scope, " \"", key, "\" must be ", expected, ", got ", v);
+    return v;
+}
+
 Cluster
 clusterFromJson(const JsonValue& json)
 {
@@ -56,12 +100,13 @@ clusterFromJson(const JsonValue& json)
         return cluster;
     }
     const JsonValue& c = json.at("cluster");
-    cluster.addDevices(types.cpu,
-                       static_cast<int>(c.numberOr("cpu", 0)));
-    cluster.addDevices(types.gtx1080ti,
-                       static_cast<int>(c.numberOr("gtx1080ti", 0)));
-    cluster.addDevices(types.v100,
-                       static_cast<int>(c.numberOr("v100", 0)));
+    auto count = [&c](const char* key) {
+        return static_cast<int>(
+            checkedNumber(c, "cluster", key, 0.0, Range::NonNegative));
+    };
+    cluster.addDevices(types.cpu, count("cpu"));
+    cluster.addDevices(types.gtx1080ti, count("gtx1080ti"));
+    cluster.addDevices(types.v100, count("v100"));
     if (cluster.numDevices() == 0)
         PROTEUS_FATAL("config cluster has no devices");
     return cluster;
@@ -115,20 +160,6 @@ pipelinesFromJson(const JsonValue& json)
     return specs;
 }
 
-/**
- * A rate key of the workload object. The trace generators assert on
- * non-positive rates, so a config that asks for one is rejected here
- * with a diagnostic (exit 1) instead.
- */
-double
-positiveQps(const JsonValue& w, const char* key, double fallback)
-{
-    const double qps = w.numberOr(key, fallback);
-    if (!(qps > 0.0))
-        PROTEUS_FATAL("workload \"", key, "\" must be positive, got ", qps);
-    return qps;
-}
-
 Trace
 traceFromJson(const JsonValue& json, const ModelRegistry& registry,
               const std::vector<PipelineSpec>& pipelines)
@@ -138,14 +169,21 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
         PROTEUS_FATAL("config is missing the \"workload\" object");
     const JsonValue& w = json.at("workload");
     std::string kind = w.stringOr("kind", "diurnal");
-    Duration duration = seconds(w.numberOr("duration_sec", 360.0));
+    auto secs = [&w](const char* key, double fallback) {
+        return seconds(
+            checkedNumber(w, "workload", key, fallback, Range::Seconds));
+    };
+    auto rate = [&w](const char* key, double fallback) {
+        return checkedNumber(w, "workload", key, fallback, Range::Positive);
+    };
+    Duration duration = secs("duration_sec", 360.0);
     std::uint64_t seed =
         static_cast<std::uint64_t>(w.numberOr("seed", 42.0));
 
     if (kind == "diurnal") {
         DiurnalTraceConfig cfg;
         cfg.duration = duration;
-        cfg.base_qps = positiveQps(w, "base_qps", 250.0);
+        cfg.base_qps = rate("base_qps", 250.0);
         cfg.diurnal_amplitude_qps = w.numberOr("amplitude_qps", 350.0);
         cfg.cycles = w.numberOr("cycles", 2.0);
         cfg.seed = seed;
@@ -154,9 +192,9 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
     if (kind == "burst") {
         BurstTraceConfig cfg;
         cfg.duration = duration;
-        cfg.low_qps = positiveQps(w, "low_qps", 150.0);
-        cfg.high_qps = positiveQps(w, "high_qps", 900.0);
-        cfg.phase = seconds(w.numberOr("phase_sec", 240.0));
+        cfg.low_qps = rate("low_qps", 150.0);
+        cfg.high_qps = rate("high_qps", 900.0);
+        cfg.phase = secs("phase_sec", 240.0);
         cfg.seed = seed;
         return burstTrace(num_families, cfg);
     }
@@ -171,7 +209,7 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
             p = ArrivalProcess::Gamma;
         else
             PROTEUS_FATAL("unknown arrival process: ", process);
-        return steadyTrace(num_families, positiveQps(w, "qps", 100.0),
+        return steadyTrace(num_families, rate("qps", 100.0),
                            duration, p, seed);
     }
     if (kind == "file") {
@@ -197,7 +235,7 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
         for (PipelineId p = 0; p < compiled.size(); ++p)
             entries.push_back(compiled.entryFamily(p));
         PipelineTraceConfig cfg;
-        cfg.qps = positiveQps(w, "qps", cfg.qps);
+        cfg.qps = rate("qps", cfg.qps);
         cfg.duration = duration;
         cfg.seed = seed;
         std::string process = w.stringOr("process", "poisson");
@@ -225,16 +263,18 @@ loadExperiment(const JsonValue& json)
     spec.config.batching =
         batchingKindFromName(json.stringOr("batching", "accscale"));
     spec.config.slo_multiplier =
-        json.numberOr("slo_multiplier", spec.config.slo_multiplier);
-    spec.config.control_period = seconds(json.numberOr(
-        "control_period_sec", toSeconds(spec.config.control_period)));
+        checkedNumber(json, "config", "slo_multiplier",
+                      spec.config.slo_multiplier, Range::Positive);
+    spec.config.control_period = seconds(checkedNumber(
+        json, "config", "control_period_sec",
+        toSeconds(spec.config.control_period), Range::Seconds));
     spec.config.planning_headroom = json.numberOr(
         "planning_headroom", spec.config.planning_headroom);
     spec.config.burst_threshold =
         json.numberOr("burst_threshold", spec.config.burst_threshold);
-    spec.config.snapshot_interval = seconds(json.numberOr(
-        "snapshot_interval_sec",
-        toSeconds(spec.config.snapshot_interval)));
+    spec.config.snapshot_interval = seconds(checkedNumber(
+        json, "config", "snapshot_interval_sec",
+        toSeconds(spec.config.snapshot_interval), Range::Seconds));
     spec.config.ilp_decision_delay = seconds(json.numberOr(
         "decision_delay_sec",
         toSeconds(spec.config.ilp_decision_delay)));
@@ -259,10 +299,11 @@ loadExperiment(const JsonValue& json)
     if (json.has("observability")) {
         const JsonValue& o = json.at("observability");
         spec.config.obs.enabled = o.boolOr("enabled", false);
-        spec.config.obs.ring_capacity = static_cast<std::size_t>(
-            o.numberOr("ring_capacity",
-                       static_cast<double>(
-                           spec.config.obs.ring_capacity)));
+        spec.config.obs.ring_capacity =
+            static_cast<std::size_t>(checkedNumber(
+                o, "observability", "ring_capacity",
+                static_cast<double>(spec.config.obs.ring_capacity),
+                Range::Size));
         spec.config.obs.sample_interval = seconds(o.numberOr(
             "sample_interval_sec",
             toSeconds(spec.config.obs.sample_interval)));
@@ -270,10 +311,12 @@ loadExperiment(const JsonValue& json)
             o.numberOr("timeseries_capacity",
                        static_cast<double>(
                            spec.config.obs.timeseries_capacity)));
-        spec.config.obs.slo_window = seconds(o.numberOr(
-            "slo_window_sec", toSeconds(spec.config.obs.slo_window)));
+        spec.config.obs.slo_window = seconds(checkedNumber(
+            o, "observability", "slo_window_sec",
+            toSeconds(spec.config.obs.slo_window), Range::Seconds));
         spec.config.obs.slo_budget =
-            o.numberOr("slo_budget", spec.config.obs.slo_budget);
+            checkedNumber(o, "observability", "slo_budget",
+                          spec.config.obs.slo_budget, Range::Positive);
         spec.config.obs.slo_burn_high =
             o.numberOr("slo_burn_high", spec.config.obs.slo_burn_high);
         spec.config.obs.slo_burn_low =

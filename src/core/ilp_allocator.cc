@@ -14,6 +14,26 @@ using detail::CachedCounts;
 using detail::CountsContext;
 using detail::CountsEval;
 
+namespace {
+
+/** Demand scale-down factor per infeasibility step (paper artifact). */
+constexpr double kBackoffBeta = 1.05;
+/** Backoff steps before giving up and serving nothing. */
+constexpr int kMaxBackoffSteps = 200;
+/**
+ * Keep the currently-applied hosting when it is feasible for the new
+ * demand and within this relative objective sliver of the fresh
+ * optimum: a model swap's load time and transient violations cost
+ * more than the accuracy it would gain.
+ */
+constexpr double kKeepPlanHysteresis = 3e-3;
+/** Model load time used to price churn damping (flat estimate). */
+constexpr double kModelLoadSec = 0.3;
+/** Control period over which a reload's lost capacity is amortized. */
+constexpr double kChurnPeriodSec = 30.0;
+
+}  // namespace
+
 IlpAllocator::IlpAllocator(const ModelRegistry* registry,
                            const Cluster* cluster,
                            const ProfileStore* profiles,
@@ -22,7 +42,9 @@ IlpAllocator::IlpAllocator(const ModelRegistry* registry,
       cluster_(cluster),
       profiles_(profiles),
       options_(options)
-{}
+{
+    meta_.work_budget = options_.milp_work_budget;
+}
 
 int
 IlpAllocator::availableOfType(DeviceTypeId t) const
@@ -126,11 +148,12 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
 
     // Churn damping: reward keeping a device on its current variant.
     // k[t][m] <= min(n[t][m], currently hosted count) earns the
-    // accuracy-weighted capacity a reload would forfeit.
+    // accuracy-weighted capacity a reload would forfeit
+    // (P x 100 x load time / control period).
     std::vector<std::vector<int>> k_col(T, std::vector<int>(M, -1));
     std::vector<std::vector<double>> keep_bonus(
         T, std::vector<double>(M, 0.0));
-    if (cur && options_.churn_damping > 0.0) {
+    if (cur) {
         for (std::size_t t = 0; t < T; ++t) {
             for (std::size_t m = 0; m < M; ++m) {
                 if (n_col[t][m] < 0 || (*cur)[t][m] <= 0)
@@ -139,14 +162,8 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
                     profiles_->get(static_cast<VariantId>(m),
                                    static_cast<DeviceTypeId>(t))
                         .peak_qps;
-                double load_sec = toSeconds(
-                    options_.load_time_fn
-                        ? options_.load_time_fn(
-                              static_cast<DeviceTypeId>(t),
-                              static_cast<VariantId>(m))
-                        : seconds(0.3));
-                double bonus = options_.churn_damping * 100.0 * peak *
-                               load_sec / options_.churn_period_sec;
+                double bonus =
+                    100.0 * peak * kModelLoadSec / kChurnPeriodSec;
                 if (bonus <= 0.0)
                     continue;
                 keep_bonus[t][m] = bonus;
@@ -246,38 +263,6 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
         any_demand = true;
     }
 
-    // Fairness extension (paper §7): reward the worst per-family
-    // effective accuracy. t is bounded by each family's mean served
-    // accuracy: sum A_m w >= t * s_f.
-    if (options_.fairness_weight > 0.0) {
-        double total_demand = 0.0;
-        for (std::size_t f = 0; f < F; ++f)
-            total_demand += eff_demand[f];
-        if (total_demand > 0.0) {
-            int t_col = lp.addVariable(
-                0.0, 100.0,
-                options_.fairness_weight * total_demand, "fair_t");
-            for (std::size_t f = 0; f < F; ++f) {
-                if (eff_demand[f] <= 0.0)
-                    continue;
-                std::vector<Coeff> coeffs;
-                for (VariantId m : registry_->variantsOf(
-                         static_cast<FamilyId>(f))) {
-                    for (std::size_t t = 0; t < T; ++t) {
-                        if (w_col[t][m] >= 0) {
-                            coeffs.emplace_back(
-                                w_col[t][m],
-                                registry_->variant(m).accuracy);
-                        }
-                    }
-                }
-                coeffs.emplace_back(t_col, -eff_demand[f]);
-                lp.addConstraint(std::move(coeffs),
-                                 RowSense::GreaterEqual, 0.0);
-            }
-        }
-    }
-
     TypeSolution out;
     out.count.assign(T, std::vector<int>(M, 0));
     out.qps.assign(T, std::vector<double>(M, 0.0));
@@ -301,7 +286,7 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
     ctx.registry = registry_;
     ctx.profiles = profiles_;
     ctx.replica_penalty = kReplicaPenalty;
-    if (cur && options_.churn_damping > 0.0) {
+    if (cur) {
         ctx.keep_bonus = &keep_bonus;
         ctx.cur_counts = cur;
     }
@@ -441,11 +426,7 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
     mopt.gap_tol = options_.milp_gap;
     mopt.heuristic_period = 4;
     MilpSolver milp(mopt);
-    // The exact evaluation behind the hint covers only the paper
-    // objective, so the fairness extension solves without one.
-    Solution sol = options_.fairness_weight <= 0.0
-                       ? milp.solve(lp, build_hint)
-                       : milp.solve(lp);
+    Solution sol = milp.solve(lp, build_hint);
     out.nodes = sol.work;
     out.simplex_iters = milp.lastStats().simplex_iterations;
     out.lp_solves = milp.lastStats().lp_solves;
@@ -697,7 +678,7 @@ IlpAllocator::allocate(const AllocationInput& input)
         if (sol.feasible)
             break;
         ++steps;
-        if (steps > options_.max_backoff_steps) {
+        if (steps > kMaxBackoffSteps) {
             // Serve nothing rather than loop forever; the routers
             // will shed all load until demand falls.
             for (auto& d : demand)
@@ -709,7 +690,7 @@ IlpAllocator::allocate(const AllocationInput& input)
             break;
         }
         for (auto& d : demand)
-            d /= options_.backoff_beta;
+            d /= kBackoffBeta;
     }
 
     // Plan hysteresis: if the hosting currently in force can still
@@ -718,44 +699,40 @@ IlpAllocator::allocate(const AllocationInput& input)
     // transient SLO violations that a fraction of a percent of
     // accuracy cannot repay. Routing weights are still refreshed for
     // the new demand.
-    if (sol.feasible && have_cur &&
-        options_.keep_plan_hysteresis > 0.0 &&
-        options_.fairness_weight <= 0.0) {
+    if (sol.feasible && have_cur) {
         const std::size_t T = cluster_->numTypes();
-        {
-            CountsContext ctx;
-            ctx.registry = registry_;
-            ctx.profiles = profiles_;
-            ctx.replica_penalty = 0.0;
-            detail::sortVariantsByAccuracy(&ctx);
-            // Families with no usable variant anywhere are shed by
-            // every plan; exclude them from the feasibility check.
-            std::vector<double> check = demand;
-            for (FamilyId f = 0; f < registry_->numFamilies(); ++f) {
-                bool servable = false;
-                for (VariantId m : registry_->variantsOf(f)) {
-                    for (DeviceTypeId t = 0; t < T; ++t)
-                        servable |= profiles_->get(m, t).usable();
-                }
-                if (!servable)
-                    check[f] = 0.0;
+        CountsContext ctx;
+        ctx.registry = registry_;
+        ctx.profiles = profiles_;
+        ctx.replica_penalty = 0.0;
+        detail::sortVariantsByAccuracy(&ctx);
+        // Families with no usable variant anywhere are shed by
+        // every plan; exclude them from the feasibility check.
+        std::vector<double> check = demand;
+        for (FamilyId f = 0; f < registry_->numFamilies(); ++f) {
+            bool servable = false;
+            for (VariantId m : registry_->variantsOf(f)) {
+                for (DeviceTypeId t = 0; t < T; ++t)
+                    servable |= profiles_->get(m, t).usable();
             }
-            CountsEval cur_eval = evalCounts(ctx, cur_counts, check);
-            double fresh_obj = sol.objective;
-            if (cur_eval.feasible &&
-                cur_eval.objective >=
-                    fresh_obj * (1.0 - options_.keep_plan_hysteresis)) {
-                TypeSolution kept;
-                kept.count = cur_counts;
-                kept.qps = detail::greedyFill(ctx, cur_counts, check);
-                kept.objective = cur_eval.objective;
-                kept.feasible = true;
-                kept.nodes = sol.nodes;
-                kept.simplex_iters = sol.simplex_iters;
-                kept.lp_solves = sol.lp_solves;
-                kept.gap = sol.gap;
-                sol = std::move(kept);
-            }
+            if (!servable)
+                check[f] = 0.0;
+        }
+        CountsEval cur_eval = evalCounts(ctx, cur_counts, check);
+        double fresh_obj = sol.objective;
+        if (cur_eval.feasible &&
+            cur_eval.objective >=
+                fresh_obj * (1.0 - kKeepPlanHysteresis)) {
+            TypeSolution kept;
+            kept.count = cur_counts;
+            kept.qps = detail::greedyFill(ctx, cur_counts, check);
+            kept.objective = cur_eval.objective;
+            kept.feasible = true;
+            kept.nodes = sol.nodes;
+            kept.simplex_iters = sol.simplex_iters;
+            kept.lp_solves = sol.lp_solves;
+            kept.gap = sol.gap;
+            sol = std::move(kept);
         }
     }
 
@@ -763,13 +740,12 @@ IlpAllocator::allocate(const AllocationInput& input)
                              input.current);
     plan.planned_demand = input.demand_qps;
     down_ = nullptr;
-    stats_.solve_seconds = timer.elapsedSeconds();
-    stats_.nodes = total_nodes;
-    stats_.simplex_iters = total_iters;
-    stats_.lp_solves = total_lp_solves;
-    stats_.gap = sol.gap;
-    stats_.backoff_steps = steps;
-    stats_.served_fraction = plan.planned_fraction;
+    meta_.wall_seconds = timer.elapsedSeconds();
+    meta_.nodes = total_nodes;
+    meta_.simplex_iterations = total_iters;
+    meta_.lp_solves = total_lp_solves;
+    meta_.gap = sol.gap;
+    meta_.backoff_steps = steps;
     return plan;
 }
 

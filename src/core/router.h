@@ -36,8 +36,7 @@ class LoadBalancer
     using BurstAlarmFn = std::function<void()>;
 
     LoadBalancer(Simulator* sim, FamilyId family,
-                 QueryObserver* observer,
-                 Duration monitor_window = seconds(2.0));
+                 QueryObserver* observer);
 
     LoadBalancer(const LoadBalancer&) = delete;
     LoadBalancer& operator=(const LoadBalancer&) = delete;

@@ -53,9 +53,7 @@ ServingSystem::ServingSystem(const Cluster* cluster,
       cost_(*cluster, *registry),
       profiles_(profileModels(
           *registry, *cluster, cost_,
-          ProfilerOptions{config.slo_multiplier,
-                          config.slo_anchor_type,
-                          config.max_batch_cap})),
+          ProfilerOptions{config.slo_multiplier})),
       metrics_(&sim_, registry->numFamilies(),
                config.snapshot_interval),
       health_(cluster->numDevices())
@@ -71,7 +69,6 @@ ServingSystem::ServingSystem(const Cluster* cluster,
         }
         PipelinePlannerOptions popt;
         popt.slo_multiplier = config_.slo_multiplier;
-        popt.slo_anchor_type = config_.slo_anchor_type;
         popt.joint = config_.pipeline_joint_planning;
         planPipelineBudgets(&pipelines_, *registry_, *cluster_, cost_,
                             popt);
@@ -79,7 +76,7 @@ ServingSystem::ServingSystem(const Cluster* cluster,
             for (const CompiledStage& st : pipe.stages) {
                 reprofileFamilySlo(&profiles_, *registry_, *cluster_,
                                    cost_, st.family, st.budget,
-                                   config_.max_batch_cap);
+                                   ProfilerOptions{}.max_batch_cap);
             }
         }
     }
@@ -92,13 +89,11 @@ ServingSystem::ServingSystem(const Cluster* cluster,
     // are strictly passive (they observe, never steer), so the
     // simulated results are identical with observability on or off.
     if (config_.obs.enabled) {
-        tracer_ = std::make_unique<obs::Tracer>(config_.obs.ring_capacity,
-                                                config_.obs.link_capacity);
+        tracer_ = std::make_unique<obs::Tracer>(config_.obs.ring_capacity);
         tail_reservoir_ = std::make_unique<obs::TailReservoir>(
-            config_.obs.tail_exemplars, config_.seed);
+            kTailExemplars, config_.seed);
         obs::SloMonitorOptions slo_opts;
         slo_opts.window = config_.obs.slo_window;
-        slo_opts.buckets = config_.obs.slo_buckets;
         slo_opts.budget = config_.obs.slo_budget;
         slo_opts.burn_high = config_.obs.slo_burn_high;
         slo_opts.burn_low = config_.obs.slo_burn_low;
@@ -155,8 +150,7 @@ ServingSystem::ServingSystem(const Cluster* cluster,
 
     // One load balancer per registered application (query type).
     for (FamilyId f = 0; f < registry_->numFamilies(); ++f) {
-        auto lb = std::make_unique<LoadBalancer>(
-            &sim_, f, terminal, config_.monitor_window);
+        auto lb = std::make_unique<LoadBalancer>(&sim_, f, terminal);
         lb->setTracer(tracer_.get());
         balancers_.push_back(std::move(lb));
     }
@@ -377,7 +371,7 @@ ServingSystem::makeBatchingPolicy() const
       case BatchingKind::NexusEarlyDrop:
         return std::make_unique<NexusBatching>();
       case BatchingKind::StaticOne:
-        return std::make_unique<StaticBatching>(1);
+        return std::make_unique<StaticBatching>();
     }
     PROTEUS_PANIC("unhandled batching kind");
 }

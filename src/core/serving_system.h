@@ -184,6 +184,9 @@ class ServingSystem : private QueryObserver
     /** @return the SLO monitor, or nullptr when observability is off. */
     obs::SloMonitor* sloMonitor() { return slo_monitor_.get(); }
 
+    /** Tail-exemplar reservoir size (seeded; SLO-violating queries). */
+    static constexpr std::size_t kTailExemplars = 32;
+
     /** @return the tail-exemplar reservoir (nullptr when obs is off). */
     const obs::TailReservoir* tailReservoir() const
     {

@@ -42,10 +42,6 @@ struct ObsOptions {
     bool enabled = false;
     /** Ring-buffer capacity in spans (oldest overwritten on wrap). */
     std::size_t ring_capacity = 1 << 16;
-    /** Lineage link ring capacity (0 = same as ring_capacity). */
-    std::size_t link_capacity = 0;
-    /** Tail-exemplar reservoir size (seeded; SLO-violating queries). */
-    std::size_t tail_exemplars = 32;
 
     /** Time-series sampling period on the simulated clock. */
     Duration sample_interval = seconds(1.0);
@@ -54,8 +50,6 @@ struct ObsOptions {
 
     /** SLO monitor sliding-window length. */
     Duration slo_window = seconds(30.0);
-    /** Buckets the window is divided into (eviction granularity). */
-    std::size_t slo_buckets = 30;
     /** Error budget: tolerated violation ratio within the window. */
     double slo_budget = 0.02;
     /** Burn rate at/above which an alarm is raised. */

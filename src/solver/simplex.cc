@@ -10,6 +10,15 @@ namespace proteus {
 
 namespace {
 
+/** Reduced-cost optimality tolerance. */
+constexpr double kOptTol = 1e-7;
+/** Primal feasibility tolerance. */
+constexpr double kFeasTol = 1e-7;
+/** Smallest acceptable pivot magnitude. */
+constexpr double kPivotTol = 1e-9;
+/** Hard cap on simplex iterations across both phases. */
+constexpr std::int64_t kMaxIters = 500000;
+
 /**
  * Internal tableau state for one solve. Columns are laid out as
  * [structural | slacks | artificials]; rows are the constraints in
@@ -158,8 +167,8 @@ Tableau::buildInitialBasis()
     std::vector<double> slack_start(m_);
     for (int i = 0; i < m_; ++i) {
         const int sj = n_struct_ + i;
-        if (slack_val[i] >= lo_[sj] - opt_.feas_tol &&
-            slack_val[i] <= hi_[sj] + opt_.feas_tol) {
+        if (slack_val[i] >= lo_[sj] - kFeasTol &&
+            slack_val[i] <= hi_[sj] + kFeasTol) {
             slack_start[i] = slack_val[i];
             continue;  // slack can be basic and feasible
         }
@@ -314,7 +323,7 @@ Tableau::iterate(bool bland)
 {
     // --- Pricing: pick an entering column. ---
     int enter = -1;
-    double best_score = opt_.opt_tol;
+    double best_score = kOptTol;
     double sigma = 1.0;
     for (int j = 0; j < n_; ++j) {
         if (pos_in_basis_[j] >= 0 || isFixed(j))
@@ -322,10 +331,10 @@ Tableau::iterate(bool bland)
         double dj = d_[j];
         double score;
         double dir;
-        if (!nb_at_upper_[j] && dj > opt_.opt_tol) {
+        if (!nb_at_upper_[j] && dj > kOptTol) {
             score = dj;
             dir = 1.0;
-        } else if (nb_at_upper_[j] && dj < -opt_.opt_tol) {
+        } else if (nb_at_upper_[j] && dj < -kOptTol) {
             score = -dj;
             dir = -1.0;
         } else {
@@ -355,7 +364,7 @@ Tableau::iterate(bool bland)
 
     for (int i = 0; i < m_; ++i) {
         double a = get(i, enter);
-        if (std::abs(a) < opt_.pivot_tol)
+        if (std::abs(a) < kPivotTol)
             continue;
         double rate = -sigma * a;
         double allowance;
@@ -372,7 +381,7 @@ Tableau::iterate(bool bland)
             allowance = (hi_[basis_[i]] - xb_[i]) / rate;
             to_upper = true;
         }
-        if (allowance < -opt_.feas_tol)
+        if (allowance < -kFeasTol)
             allowance = 0.0;  // slightly out of bounds: degenerate step
         if (allowance < 0.0)
             allowance = 0.0;
@@ -478,7 +487,7 @@ Tableau::optimize()
     int stall = 0;
     bool bland = false;
     while (true) {
-        if (++iters_ > opt_.max_iters)
+        if (++iters_ > kMaxIters)
             return SolveStatus::IterLimit;
         IterResult r = iterate(bland);
         if (opt_.paranoid)

@@ -19,7 +19,6 @@
 #ifndef PROTEUS_SOLVER_SIMPLEX_H_
 #define PROTEUS_SOLVER_SIMPLEX_H_
 
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -31,16 +30,8 @@ namespace proteus {
 class SimplexSolver
 {
   public:
-    /** Tunables; the defaults suit all Proteus formulations. */
+    /** Debug switches; the tolerances are fixed in simplex.cc. */
     struct Options {
-        /** Reduced-cost optimality tolerance. */
-        double opt_tol = 1e-7;
-        /** Primal feasibility tolerance. */
-        double feas_tol = 1e-7;
-        /** Smallest acceptable pivot magnitude. */
-        double pivot_tol = 1e-9;
-        /** Hard cap on simplex iterations across both phases. */
-        std::int64_t max_iters = 500000;
         /**
          * Verify the tableau invariants (A x = b, bounds) after every
          * iteration. Extremely slow; intended for tests/debugging.

@@ -2,80 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace proteus {
 namespace {
-
-TEST(OnlineStatsTest, EmptyIsZero)
-{
-    OnlineStats s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(s.min(), 0.0);
-    EXPECT_DOUBLE_EQ(s.max(), 0.0);
-}
-
-TEST(OnlineStatsTest, MeanAndVarianceMatchClosedForm)
-{
-    OnlineStats s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(x);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_NEAR(s.variance(), 4.0, 1e-12);
-    EXPECT_NEAR(s.stddev(), 2.0, 1e-12);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(OnlineStatsTest, ResetClears)
-{
-    OnlineStats s;
-    s.add(10.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
-TEST(OnlineStatsTest, SingleSample)
-{
-    OnlineStats s;
-    s.add(-3.5);
-    EXPECT_DOUBLE_EQ(s.mean(), -3.5);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(s.min(), -3.5);
-    EXPECT_DOUBLE_EQ(s.max(), -3.5);
-}
-
-TEST(EwmaTest, FirstSampleInitializes)
-{
-    Ewma e(0.5);
-    EXPECT_FALSE(e.initialized());
-    e.add(10.0);
-    EXPECT_TRUE(e.initialized());
-    EXPECT_DOUBLE_EQ(e.value(), 10.0);
-}
-
-TEST(EwmaTest, Smooths)
-{
-    Ewma e(0.5);
-    e.add(10.0);
-    e.add(20.0);
-    EXPECT_DOUBLE_EQ(e.value(), 15.0);
-    e.add(15.0);
-    EXPECT_DOUBLE_EQ(e.value(), 15.0);
-}
-
-TEST(EwmaTest, ConvergesToConstantInput)
-{
-    Ewma e(0.3);
-    e.add(0.0);
-    for (int i = 0; i < 200; ++i)
-        e.add(42.0);
-    EXPECT_NEAR(e.value(), 42.0, 1e-9);
-}
 
 TEST(WindowedRateTest, CountsOnlyInsideWindow)
 {

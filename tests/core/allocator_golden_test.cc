@@ -93,18 +93,18 @@ void
 expectGolden(const IlpAllocator& alloc, const Allocation& plan,
              const Golden& want)
 {
-    const IlpAllocator::SolveStats& s = alloc.lastStats();
+    const AllocatorSolveMeta s = alloc.lastSolveMeta();
     const std::uint64_t digest = planDigest(plan);
     char got[160];
     std::snprintf(got, sizeof got,
                   "observed {%lld, %lld, %lld, 0x%016llxull}",
                   static_cast<long long>(s.nodes),
-                  static_cast<long long>(s.simplex_iters),
+                  static_cast<long long>(s.simplex_iterations),
                   static_cast<long long>(s.lp_solves),
                   static_cast<unsigned long long>(digest));
     SCOPED_TRACE(got);
     EXPECT_EQ(s.nodes, want.nodes);
-    EXPECT_EQ(s.simplex_iters, want.simplex_iters);
+    EXPECT_EQ(s.simplex_iterations, want.simplex_iters);
     EXPECT_EQ(s.lp_solves, want.lp_solves);
     EXPECT_EQ(digest, want.digest);
 }

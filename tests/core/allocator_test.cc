@@ -99,15 +99,39 @@ TEST(IlpAllocatorTest, ScalesAccuracyDownUnderLoad)
 
 TEST(IlpAllocatorTest, BacksOffWhenOverloaded)
 {
-    World w = miniWorld(1, 0, 1);
+    // About 50x the cluster's capacity: feasible after some tens of
+    // steps. (With fewer devices than demanded families no scale-down
+    // is feasible, and the allocator gives up instead.)
+    World w = miniWorld(2, 1, 1);
     IlpAllocator alloc(&w.registry, &w.cluster, w.profiles.get());
     AllocationInput in;
-    in.demand_qps = demandOf(w, {1e6, 1e6, 1e6});
+    in.demand_qps = demandOf(w, {1e4, 1e4, 1e4});
     Allocation plan = alloc.allocate(in);
     EXPECT_LT(plan.planned_fraction, 1.0);
-    EXPECT_GT(alloc.lastStats().backoff_steps, 0);
+    const int steps = alloc.lastSolveMeta().backoff_steps;
+    EXPECT_GT(steps, 0);
+    ASSERT_LT(steps, 200);
+    // Each step divides the demand by 1.05 (§4).
+    EXPECT_NEAR(plan.planned_fraction, std::pow(1.05, -steps),
+                std::pow(1.05, -steps) * 1e-12);
     // Still a valid plan: weights <= 1 etc.
     checkPlanInvariants(w, plan, in.demand_qps);
+}
+
+TEST(IlpAllocatorTest, GivesUpAfterMaxBackoffSteps)
+{
+    // Demand beyond 1.05^200 x capacity: the allocator stops backing
+    // off after 200 steps and plans nothing; routers shed the load.
+    World w = miniWorld(2, 1, 1);
+    IlpAllocator alloc(&w.registry, &w.cluster, w.profiles.get());
+    AllocationInput in;
+    in.demand_qps = demandOf(w, {1e9, 1e9, 1e9});
+    Allocation plan = alloc.allocate(in);
+    EXPECT_EQ(alloc.lastSolveMeta().backoff_steps, 201);
+    EXPECT_EQ(plan.planned_fraction, 0.0);
+    EXPECT_EQ(plan.planned_qps, 0.0);
+    for (FamilyId f = 0; f < w.registry.numFamilies(); ++f)
+        EXPECT_TRUE(plan.routing[f].empty()) << f;
 }
 
 TEST(IlpAllocatorTest, ZeroDemandHostsNothing)
@@ -200,8 +224,6 @@ TEST(IlpAllocatorTest, AggregatedMatchesPerDeviceFormulation)
     std::vector<double> demand = demandOf(w, {60.0, 25.0, 0.0});
 
     IlpAllocatorOptions opts;
-    opts.keep_plan_hysteresis = 0.0;
-    opts.churn_damping = 0.0;
     opts.milp_gap = 1e-7;
     opts.milp_time_limit_sec = 30.0;
     IlpAllocator alloc(&w.registry, &w.cluster, w.profiles.get(), opts);
@@ -231,7 +253,7 @@ TEST(IlpAllocatorTest, PaperScaleSolvesFast)
     in.demand_qps = demand;
     Allocation plan = alloc.allocate(in);
     EXPECT_GT(plan.expected_accuracy, 90.0);
-    EXPECT_LT(alloc.lastStats().solve_seconds, 5.0);
+    EXPECT_LT(alloc.lastSolveMeta().wall_seconds, 5.0);
 }
 
 }  // namespace

@@ -176,19 +176,18 @@ TEST(StaticBatchingTest, AlwaysExecutesUpToSize)
     QueueFixture fix;
     for (int i = 0; i < 3; ++i)
         fix.add(millis(i), millis(100));
-    StaticBatching one(1);
-    EXPECT_EQ(one.decide(view(millis(3), fix, prof, millis(100))).execute,
-              1);
-    StaticBatching big(10);
-    EXPECT_EQ(big.decide(view(millis(3), fix, prof, millis(100))).execute,
-              3);
+    StaticBatching policy;
+    BatchAction a = policy.decide(view(millis(3), fix, prof, millis(100)));
+    EXPECT_EQ(a.execute, 1);
+    EXPECT_EQ(a.drop, 0);
+    EXPECT_EQ(a.wake_at, kNoTime);
 }
 
 TEST(StaticBatchingTest, EmptyQueueNoAction)
 {
     BatchProfile prof = makeProfile(millis(1), millis(1), 8);
     QueueFixture fix;
-    StaticBatching policy(1);
+    StaticBatching policy;
     EXPECT_EQ(policy.decide(view(0, fix, prof, millis(100))).execute, 0);
 }
 

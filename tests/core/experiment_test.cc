@@ -126,6 +126,92 @@ TEST(ExperimentTest, NonPositivePipelineQpsIsAConfigError)
                 "workload \"qps\" must be positive, got -5");
 }
 
+/** A config with one key out of range, and the diagnostic it earns. */
+struct OutOfRangeKey {
+    const char* name;
+    const char* config;
+    const char* message;
+};
+
+/** Stable test names: print the key, not the pointers. */
+void
+PrintTo(const OutOfRangeKey& key, std::ostream* os)
+{
+    *os << key.name;
+}
+
+class ExperimentKeyTest : public ::testing::TestWithParam<OutOfRangeKey>
+{};
+
+TEST_P(ExperimentKeyTest, OutOfRangeIsAConfigError)
+{
+    // Each key reaches a component that asserts on it, or is accepted
+    // silently; the config loader must reject it first with exit 1 and
+    // the key's name.
+    const JsonValue json = parse(GetParam().config);
+    EXPECT_EXIT(loadExperiment(json), ::testing::ExitedWithCode(1),
+                GetParam().message);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Keys, ExperimentKeyTest,
+    ::testing::Values(
+        OutOfRangeKey{"slo_multiplier",
+                      R"({"zoo": "mini", "slo_multiplier": 0,
+                          "cluster": {"cpu": 1},
+                          "workload": {"kind": "steady"}})",
+                      "config \"slo_multiplier\" must be positive, got 0"},
+        OutOfRangeKey{"control_period_sec",
+                      R"({"zoo": "mini", "control_period_sec": 0,
+                          "cluster": {"cpu": 1},
+                          "workload": {"kind": "steady"}})",
+                      "config \"control_period_sec\" must be at least"},
+        OutOfRangeKey{"snapshot_interval_sec",
+                      R"({"zoo": "mini", "snapshot_interval_sec": 0,
+                          "cluster": {"cpu": 1},
+                          "workload": {"kind": "steady"}})",
+                      "config \"snapshot_interval_sec\" must be at least"},
+        OutOfRangeKey{"slo_budget",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "observability": {"slo_budget": 0},
+                          "workload": {"kind": "steady"}})",
+                      "observability \"slo_budget\" must be positive"},
+        OutOfRangeKey{"slo_window_sec",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "observability": {"slo_window_sec": 0},
+                          "workload": {"kind": "steady"}})",
+                      "observability \"slo_window_sec\" must be at least"},
+        OutOfRangeKey{"ring_capacity",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "observability": {"ring_capacity": 0},
+                          "workload": {"kind": "steady"}})",
+                      "observability \"ring_capacity\" must be at least 1"},
+        OutOfRangeKey{"cpu",
+                      R"({"zoo": "mini", "cluster": {"cpu": -2, "v100": 1},
+                          "workload": {"kind": "steady"}})",
+                      "cluster \"cpu\" must be non-negative, got -2"},
+        OutOfRangeKey{"gtx1080ti",
+                      R"({"zoo": "mini",
+                          "cluster": {"cpu": 1, "gtx1080ti": -1},
+                          "workload": {"kind": "steady"}})",
+                      "cluster \"gtx1080ti\" must be non-negative"},
+        OutOfRangeKey{"v100",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1, "v100": -1},
+                          "workload": {"kind": "steady"}})",
+                      "cluster \"v100\" must be non-negative"},
+        OutOfRangeKey{"duration_sec",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "workload": {"kind": "steady",
+                                       "duration_sec": -5}})",
+                      "workload \"duration_sec\" must be at least"},
+        OutOfRangeKey{"phase_sec",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "workload": {"kind": "burst", "phase_sec": 0}})",
+                      "workload \"phase_sec\" must be at least"}),
+    [](const ::testing::TestParamInfo<OutOfRangeKey>& key) {
+        return std::string(key.param.name);
+    });
+
 TEST(ExperimentTest, EndToEndRunFromConfig)
 {
     ExperimentSpec spec = loadExperiment(parse(R"({
