@@ -1,6 +1,10 @@
 #include "core/experiment.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <fstream>
+#include <initializer_list>
 
 #include "common/logging.h"
 #include "obs/exporter.h"
@@ -44,115 +48,293 @@ batchingKindFromName(const std::string& name)
 
 namespace {
 
-/** The range a checked config number must lie in. */
-enum class Range {
-    Positive,     ///< > 0: rates, multipliers, budgets
-    Seconds,      ///< a duration of at least one clock tick (1 us)
-    Size,         ///< a capacity of at least one item
-    NonNegative,  ///< >= 0: device counts
-};
+// Upper bounds of the config schema. Each keeps its key's conversion
+// defined: a `*_sec` value times 1e6 stays far inside the int64
+// microseconds of Time/Duration, a count fits its int/size_t/int64/
+// uint64 field, and a seed is an integer a JSON double holds exactly.
+constexpr double kTickSec = 1e-6;  ///< one clock tick (1 us)
+/** Any *_sec key: as long as a trace file may run (1e6 s). */
+constexpr double kMaxSeconds = toSeconds(kMaxTraceTime);
+constexpr double kMaxQps = 1e6;               ///< any *_qps key
+constexpr double kMaxFactor = 1e3;            ///< multipliers and ratios
+constexpr double kMaxDevices = 1e5;           ///< devices of one type
+constexpr double kMaxWorkBudget = 1e12;       ///< simplex iterations
+constexpr double kMaxRingCapacity = 1 << 22;  ///< spans (~0.5 GB of rings)
+constexpr double kMaxSeed = 9007199254740992.0;  ///< 2^53
+constexpr double kMaxJitter = 0.9;  ///< keeps every jittered latency > 0
 
-/**
- * Number @p key of the config object @p scope names (@p fallback when
- * absent). The components these keys reach assert on values outside
- * @p range, so a config that asks for one is rejected here with a
- * diagnostic naming the key (exit 1) instead.
- */
-double
-checkedNumber(const JsonValue& obj, const char* scope, const char* key,
-              double fallback, Range range)
+/** @return @p x as diagnostics print it (16 significant digits). */
+std::string
+fmtNumber(double x)
 {
-    const double v = obj.numberOr(key, fallback);
-    bool ok = false;
-    const char* expected = "";
-    switch (range) {
-      case Range::Positive:
-        ok = v > 0.0;
-        expected = "positive";
-        break;
-      case Range::Seconds:
-        ok = v >= 1e-6;
-        expected = "at least 1e-06 (one microsecond)";
-        break;
-      case Range::Size:
-        ok = v >= 1.0;
-        expected = "at least 1";
-        break;
-      case Range::NonNegative:
-        ok = v >= 0.0;
-        expected = "non-negative";
-        break;
-    }
-    if (!ok)
-        PROTEUS_FATAL(scope, " \"", key, "\" must be ", expected, ", got ", v);
-    return v;
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.16g", x);
+    return buf;
 }
 
+/**
+ * Typed reader over one JSON config object. Each getter is the schema
+ * entry of its key: it names the key, its type, its default (returned
+ * when the key is absent) and its accepted range [lo, hi]. finish()
+ * then rejects every key no getter asked for, so the keys the loader
+ * reads are exactly the keys a config may set. Every failure is
+ * PROTEUS_FATAL (exit 1) naming `<scope> "<key>"`.
+ */
+class ConfigReader
+{
+  public:
+    ConfigReader(const JsonValue& json, std::string scope)
+        : json_(json), scope_(std::move(scope))
+    {
+        if (!json_.isObject())
+            PROTEUS_FATAL(scope_, " must be an object, got ",
+                          describe(json_));
+    }
+
+    /** A number in [lo, hi]. */
+    double
+    number(const char* key, double fallback, double lo, double hi)
+    {
+        const JsonValue* v = find(key, JsonValue::Type::Number, "a number");
+        return v == nullptr ? fallback : inRange(key, *v, lo, hi);
+    }
+
+    /** A number in (0, hi]. */
+    double
+    positive(const char* key, double fallback, double hi)
+    {
+        const JsonValue* v = find(key, JsonValue::Type::Number, "a number");
+        if (v == nullptr)
+            return fallback;
+        if (!(v->asNumber() > 0.0))
+            fail(key, "positive", *v);
+        return inRange(key, *v, 0.0, hi);
+    }
+
+    /** A `*_sec` number of seconds in [lo_sec, kMaxSeconds]. */
+    Duration
+    duration(const char* key, Duration fallback, double lo_sec)
+    {
+        const JsonValue* v = find(key, JsonValue::Type::Number, "a number");
+        return v == nullptr ? fallback
+                            : seconds(inRange(key, *v, lo_sec, kMaxSeconds));
+    }
+
+    /** A whole number in [lo, hi], converted to @p Int. */
+    template <typename Int>
+    Int
+    integer(const char* key, Int fallback, double lo, double hi)
+    {
+        const JsonValue* v =
+            find(key, JsonValue::Type::Number, "an integer");
+        if (v == nullptr)
+            return fallback;
+        const double x = inRange(key, *v, lo, hi);
+        if (x != std::floor(x))
+            fail(key, "an integer", *v);
+        return static_cast<Int>(x);
+    }
+
+    /** true or false. */
+    bool
+    flag(const char* key, bool fallback)
+    {
+        const JsonValue* v =
+            find(key, JsonValue::Type::Bool, "true or false");
+        return v == nullptr ? fallback : v->asBool();
+    }
+
+    /** Any string. */
+    std::string
+    string(const char* key, const std::string& fallback)
+    {
+        const JsonValue* v = find(key, JsonValue::Type::String, "a string");
+        return v == nullptr ? fallback : v->asString();
+    }
+
+    /** One of the strings in @p options. */
+    std::string
+    choice(const char* key, const char* fallback,
+           std::initializer_list<const char*> options)
+    {
+        std::string expected;
+        for (const char* o : options)
+            expected += (expected.empty() ? "one of \"" : ", \"") +
+                        std::string(o) + "\"";
+        const JsonValue* v =
+            find(key, JsonValue::Type::String, expected.c_str());
+        if (v == nullptr)
+            return fallback;
+        for (const char* o : options) {
+            if (v->asString() == o)
+                return o;
+        }
+        fail(key, expected, *v);
+    }
+
+    /** An array of strings (empty when absent). */
+    std::vector<std::string>
+    strings(const char* key)
+    {
+        std::vector<std::string> out;
+        const JsonValue* v =
+            find(key, JsonValue::Type::Array, "an array of strings");
+        if (v == nullptr)
+            return out;
+        for (const JsonValue& e : v->asArray()) {
+            if (!e.isString())
+                fail(key, "an array of strings", e);
+            out.push_back(e.asString());
+        }
+        return out;
+    }
+
+    /** An array (nullptr when absent); its elements are unchecked. */
+    const std::vector<JsonValue>*
+    array(const char* key)
+    {
+        const JsonValue* v = find(key, JsonValue::Type::Array, "an array");
+        return v == nullptr ? nullptr : &v->asArray();
+    }
+
+    /** An object (nullptr when absent), for a nested ConfigReader. */
+    const JsonValue*
+    object(const char* key)
+    {
+        return find(key, JsonValue::Type::Object, "an object");
+    }
+
+    /** Reject every key no getter asked for. */
+    void
+    finish() const
+    {
+        for (const std::string& key : json_.keys()) {
+            if (std::find(asked_.begin(), asked_.end(), key) !=
+                asked_.end())
+                continue;
+            std::string known;
+            for (const std::string& k : asked_)
+                known += (known.empty() ? "" : ", ") + k;
+            PROTEUS_FATAL(scope_, " \"", key,
+                          "\" is not a known key (known: ", known, ")");
+        }
+    }
+
+  private:
+    /** @return @p v as a diagnostic shows it: scalars verbatim. */
+    static std::string
+    describe(const JsonValue& v)
+    {
+        switch (v.type()) {
+          case JsonValue::Type::Null: return "null";
+          case JsonValue::Type::Bool: return v.asBool() ? "true" : "false";
+          case JsonValue::Type::Number: return fmtNumber(v.asNumber());
+          case JsonValue::Type::String: return "\"" + v.asString() + "\"";
+          case JsonValue::Type::Array: return "an array";
+          case JsonValue::Type::Object: return "an object";
+        }
+        return "?";
+    }
+
+    /** Record @p key as read; @return its value, nullptr when absent. */
+    const JsonValue*
+    find(const char* key, JsonValue::Type type, const char* expected)
+    {
+        asked_.push_back(key);
+        if (!json_.has(key))
+            return nullptr;
+        const JsonValue& v = json_.at(key);
+        if (v.type() != type)
+            fail(key, expected, v);
+        return &v;
+    }
+
+    /** @return the number @p v, failing unless lo <= v <= hi. */
+    double
+    inRange(const char* key, const JsonValue& v, double lo, double hi) const
+    {
+        const double x = v.asNumber();
+        if (x < lo)
+            fail(key, lo == 0.0 ? "non-negative" : "at least " + fmtNumber(lo),
+                 v);
+        if (!(x <= hi))
+            fail(key, "at most " + fmtNumber(hi), v);
+        return x;
+    }
+
+    [[noreturn]] void
+    fail(const char* key, const std::string& expected,
+         const JsonValue& got) const
+    {
+        PROTEUS_FATAL(scope_, " \"", key, "\" must be ", expected,
+                      ", got ", describe(got));
+    }
+
+    const JsonValue& json_;
+    std::string scope_;
+    std::vector<std::string> asked_;
+};
+
 Cluster
-clusterFromJson(const JsonValue& json)
+clusterFromJson(const JsonValue* json)
 {
     Cluster cluster;
     StandardTypes types = addStandardTypes(&cluster);
-    if (!json.has("cluster")) {
+    if (json == nullptr) {
         cluster.addDevices(types.cpu, 20);
         cluster.addDevices(types.gtx1080ti, 10);
         cluster.addDevices(types.v100, 10);
         return cluster;
     }
-    const JsonValue& c = json.at("cluster");
-    auto count = [&c](const char* key) {
-        return static_cast<int>(
-            checkedNumber(c, "cluster", key, 0.0, Range::NonNegative));
-    };
-    cluster.addDevices(types.cpu, count("cpu"));
-    cluster.addDevices(types.gtx1080ti, count("gtx1080ti"));
-    cluster.addDevices(types.v100, count("v100"));
+    ConfigReader c(*json, "cluster");
+    const int cpu = c.integer<int>("cpu", 0, 0.0, kMaxDevices);
+    const int gtx = c.integer<int>("gtx1080ti", 0, 0.0, kMaxDevices);
+    const int v100 = c.integer<int>("v100", 0, 0.0, kMaxDevices);
+    c.finish();
+    cluster.addDevices(types.cpu, cpu);
+    cluster.addDevices(types.gtx1080ti, gtx);
+    cluster.addDevices(types.v100, v100);
     if (cluster.numDevices() == 0)
         PROTEUS_FATAL("config cluster has no devices");
     return cluster;
 }
 
 ModelRegistry
-registryFromJson(const JsonValue& json)
+registryFromZoo(const std::string& zoo)
 {
-    std::string zoo = json.stringOr("zoo", "paper");
     ModelRegistry reg;
-    if (zoo == "paper") {
-        for (const auto& fam : paperModelZoo())
-            reg.registerFamily(fam);
-    } else if (zoo == "mini") {
-        for (const auto& fam : miniModelZoo())
-            reg.registerFamily(fam);
-    } else {
-        PROTEUS_FATAL("unknown zoo: ", zoo, " (use \"paper\"/\"mini\")");
-    }
+    for (const auto& fam : zoo == "mini" ? miniModelZoo() : paperModelZoo())
+        reg.registerFamily(fam);
     return reg;
 }
 
 std::vector<PipelineSpec>
-pipelinesFromJson(const JsonValue& json)
+pipelinesFromJson(const std::vector<JsonValue>& entries)
 {
     std::vector<PipelineSpec> specs;
-    if (!json.has("pipelines"))
-        return specs;
-    for (const JsonValue& p : json.at("pipelines").asArray()) {
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const std::string scope = "pipelines[" + std::to_string(i) + "]";
+        ConfigReader p(entries[i], scope);
         PipelineSpec spec;
-        spec.name = p.stringOr("name", "");
+        spec.name = p.string("name", "");
+        spec.slo = p.duration("slo_sec", 0, 0.0);
+        spec.slo_multiplier =
+            p.number("slo_multiplier", 0.0, 0.0, kMaxFactor);
+        const std::vector<JsonValue>* stages = p.array("stages");
+        p.finish();
         if (spec.name.empty())
             PROTEUS_FATAL("pipeline entry is missing \"name\"");
-        spec.slo = seconds(p.numberOr("slo_sec", 0.0));
-        spec.slo_multiplier = p.numberOr("slo_multiplier", 0.0);
-        if (!p.has("stages"))
+        if (stages == nullptr)
             PROTEUS_FATAL("pipeline \"", spec.name,
                           "\" is missing \"stages\"");
-        for (const JsonValue& s : p.at("stages").asArray()) {
+        for (std::size_t j = 0; j < stages->size(); ++j) {
+            ConfigReader s((*stages)[j],
+                           scope + ".stages[" + std::to_string(j) + "]");
             PipelineStageSpec stage;
-            stage.name = s.stringOr("name", "");
-            stage.family = s.stringOr("family", "");
-            if (s.has("deps")) {
-                for (const JsonValue& d : s.at("deps").asArray())
-                    stage.deps.push_back(d.asString());
-            }
+            stage.name = s.string("name", "");
+            stage.family = s.string("family", "");
+            stage.deps = s.strings("deps");
+            s.finish();
             spec.stages.push_back(std::move(stage));
         }
         specs.push_back(std::move(spec));
@@ -160,96 +342,105 @@ pipelinesFromJson(const JsonValue& json)
     return specs;
 }
 
+ArrivalProcess
+arrivalProcess(ConfigReader& w)
+{
+    const std::string p =
+        w.choice("process", "poisson", {"uniform", "poisson", "gamma"});
+    if (p == "uniform")
+        return ArrivalProcess::Uniform;
+    return p == "gamma" ? ArrivalProcess::Gamma : ArrivalProcess::Poisson;
+}
+
 Trace
 traceFromJson(const JsonValue& json, const ModelRegistry& registry,
               const std::vector<PipelineSpec>& pipelines)
 {
     const std::size_t num_families = registry.numFamilies();
-    if (!json.has("workload"))
-        PROTEUS_FATAL("config is missing the \"workload\" object");
-    const JsonValue& w = json.at("workload");
-    std::string kind = w.stringOr("kind", "diurnal");
-    auto secs = [&w](const char* key, double fallback) {
-        return seconds(
-            checkedNumber(w, "workload", key, fallback, Range::Seconds));
-    };
-    auto rate = [&w](const char* key, double fallback) {
-        return checkedNumber(w, "workload", key, fallback, Range::Positive);
-    };
-    Duration duration = secs("duration_sec", 360.0);
-    std::uint64_t seed =
-        static_cast<std::uint64_t>(w.numberOr("seed", 42.0));
+    ConfigReader w(json, "workload");
+    const std::string kind =
+        w.choice("kind", "diurnal",
+                 {"diurnal", "burst", "steady", "pipeline", "file"});
+    // A sweep's seed axis sets "seed" on every kind, "file" included.
+    const std::uint64_t seed =
+        w.integer<std::uint64_t>("seed", 42, 0.0, kMaxSeed);
 
-    if (kind == "diurnal") {
-        DiurnalTraceConfig cfg;
-        cfg.duration = duration;
-        cfg.base_qps = rate("base_qps", 250.0);
-        cfg.diurnal_amplitude_qps = w.numberOr("amplitude_qps", 350.0);
-        cfg.cycles = w.numberOr("cycles", 2.0);
-        cfg.seed = seed;
-        return diurnalTrace(num_families, cfg);
-    }
-    if (kind == "burst") {
-        BurstTraceConfig cfg;
-        cfg.duration = duration;
-        cfg.low_qps = rate("low_qps", 150.0);
-        cfg.high_qps = rate("high_qps", 900.0);
-        cfg.phase = secs("phase_sec", 240.0);
-        cfg.seed = seed;
-        return burstTrace(num_families, cfg);
-    }
-    if (kind == "steady") {
-        std::string process = w.stringOr("process", "poisson");
-        ArrivalProcess p;
-        if (process == "uniform")
-            p = ArrivalProcess::Uniform;
-        else if (process == "poisson")
-            p = ArrivalProcess::Poisson;
-        else if (process == "gamma")
-            p = ArrivalProcess::Gamma;
-        else
-            PROTEUS_FATAL("unknown arrival process: ", process);
-        return steadyTrace(num_families, rate("qps", 100.0),
-                           duration, p, seed);
-    }
     if (kind == "file") {
-        std::string path = w.stringOr("path", "");
+        const std::string path = w.string("path", "");
+        w.finish();
         if (path.empty())
             PROTEUS_FATAL("workload kind \"file\" needs \"path\"");
         std::ifstream in(path);
         if (!in)
             PROTEUS_FATAL("cannot open trace file: ", path);
-        return Trace::readCsv(in);
+        return Trace::readCsv(in, path, num_families);
     }
-    if (kind == "pipeline") {
-        if (pipelines.empty())
-            PROTEUS_FATAL("workload kind \"pipeline\" needs a "
-                          "\"pipelines\" array in the config");
-        // Compile here to resolve family names and topo order; the
-        // serving system recompiles identically from the same specs.
-        CompiledPipelines compiled;
-        std::string error;
-        if (!compilePipelines(pipelines, registry, &compiled, &error))
-            PROTEUS_FATAL("pipeline config error: ", error);
-        std::vector<FamilyId> entries;
-        for (PipelineId p = 0; p < compiled.size(); ++p)
-            entries.push_back(compiled.entryFamily(p));
-        PipelineTraceConfig cfg;
-        cfg.qps = rate("qps", cfg.qps);
+    const Duration duration =
+        w.duration("duration_sec", seconds(360.0), kTickSec);
+    if (kind == "diurnal") {
+        DiurnalTraceConfig cfg;
         cfg.duration = duration;
+        cfg.base_qps = w.positive("base_qps", 250.0, kMaxQps);
+        cfg.diurnal_amplitude_qps =
+            w.number("amplitude_qps", 350.0, 0.0, kMaxQps);
+        cfg.cycles = w.number("cycles", 2.0, 0.0, kMaxFactor);
         cfg.seed = seed;
-        std::string process = w.stringOr("process", "poisson");
-        if (process == "uniform")
-            cfg.process = ArrivalProcess::Uniform;
-        else if (process == "poisson")
-            cfg.process = ArrivalProcess::Poisson;
-        else if (process == "gamma")
-            cfg.process = ArrivalProcess::Gamma;
-        else
-            PROTEUS_FATAL("unknown arrival process: ", process);
-        return pipelineTrace(entries, cfg);
+        w.finish();
+        return diurnalTrace(num_families, cfg);
     }
-    PROTEUS_FATAL("unknown workload kind: ", kind);
+    if (kind == "burst") {
+        BurstTraceConfig cfg;
+        cfg.duration = duration;
+        cfg.low_qps = w.positive("low_qps", 150.0, kMaxQps);
+        cfg.high_qps = w.positive("high_qps", 900.0, kMaxQps);
+        cfg.phase = w.duration("phase_sec", seconds(240.0), kTickSec);
+        cfg.seed = seed;
+        w.finish();
+        return burstTrace(num_families, cfg);
+    }
+    if (kind == "steady") {
+        const double qps = w.positive("qps", 100.0, kMaxQps);
+        const ArrivalProcess process = arrivalProcess(w);
+        w.finish();
+        return steadyTrace(num_families, qps, duration, process, seed);
+    }
+    // kind == "pipeline"
+    PipelineTraceConfig cfg;
+    cfg.qps = w.positive("qps", cfg.qps, kMaxQps);
+    cfg.duration = duration;
+    cfg.seed = seed;
+    cfg.process = arrivalProcess(w);
+    w.finish();
+    if (pipelines.empty())
+        PROTEUS_FATAL("workload kind \"pipeline\" needs a "
+                      "\"pipelines\" array in the config");
+    // Compile here to resolve family names and topo order; the
+    // serving system recompiles identically from the same specs.
+    CompiledPipelines compiled;
+    std::string error;
+    if (!compilePipelines(pipelines, registry, &compiled, &error))
+        PROTEUS_FATAL("pipeline config error: ", error);
+    std::vector<FamilyId> entries;
+    for (PipelineId p = 0; p < compiled.size(); ++p)
+        entries.push_back(compiled.entryFamily(p));
+    return pipelineTrace(entries, cfg);
+}
+
+/** The "observability" object: switches and export paths. */
+void
+observabilityFromJson(const JsonValue& json, ExperimentSpec* spec)
+{
+    ConfigReader o(json, "observability");
+    obs::ObsOptions& opts = spec->config.obs;
+    opts.enabled = o.flag("enabled", false);
+    opts.ring_capacity = o.integer<std::size_t>(
+        "ring_capacity", opts.ring_capacity, 1.0, kMaxRingCapacity);
+    opts.slo_window = o.duration("slo_window_sec", opts.slo_window, kTickSec);
+    spec->trace_path = o.string("trace_file", "");
+    spec->metrics_path = o.string("metrics_file", "");
+    spec->timeline_csv_path = o.string("timeline_csv", "");
+    spec->timeline_json_path = o.string("timeline_json", "");
+    o.finish();
 }
 
 }  // namespace
@@ -258,83 +449,45 @@ ExperimentSpec
 loadExperiment(const JsonValue& json)
 {
     ExperimentSpec spec;
-    spec.config.allocator = allocatorKindFromName(
-        json.stringOr("model_allocation", "ilp"));
-    spec.config.batching =
-        batchingKindFromName(json.stringOr("batching", "accscale"));
-    spec.config.slo_multiplier =
-        checkedNumber(json, "config", "slo_multiplier",
-                      spec.config.slo_multiplier, Range::Positive);
-    spec.config.control_period = seconds(checkedNumber(
-        json, "config", "control_period_sec",
-        toSeconds(spec.config.control_period), Range::Seconds));
-    spec.config.planning_headroom = json.numberOr(
-        "planning_headroom", spec.config.planning_headroom);
-    spec.config.burst_threshold =
-        json.numberOr("burst_threshold", spec.config.burst_threshold);
-    spec.config.snapshot_interval = seconds(checkedNumber(
-        json, "config", "snapshot_interval_sec",
-        toSeconds(spec.config.snapshot_interval), Range::Seconds));
-    spec.config.ilp_decision_delay = seconds(json.numberOr(
-        "decision_delay_sec",
-        toSeconds(spec.config.ilp_decision_delay)));
-    spec.config.milp_work_budget = static_cast<std::int64_t>(
-        json.numberOr("milp_work_budget",
-                      static_cast<double>(spec.config.milp_work_budget)));
-    spec.config.latency_jitter_frac = json.numberOr(
-        "latency_jitter", spec.config.latency_jitter_frac);
-    spec.config.seed =
-        static_cast<std::uint64_t>(json.numberOr("seed", 1.0));
-    spec.config.pipelines = pipelinesFromJson(json);
-    const std::string planning =
-        json.stringOr("pipeline_planning", "joint");
-    if (planning == "joint")
-        spec.config.pipeline_joint_planning = true;
-    else if (planning == "independent")
-        spec.config.pipeline_joint_planning = false;
-    else
-        PROTEUS_FATAL("unknown pipeline_planning: ", planning,
-                      " (use \"joint\"/\"independent\")");
+    SystemConfig& cfg = spec.config;
+    ConfigReader r(json, "config");
+    cfg.allocator =
+        allocatorKindFromName(r.string("model_allocation", "ilp"));
+    cfg.batching = batchingKindFromName(r.string("batching", "accscale"));
+    cfg.slo_multiplier =
+        r.positive("slo_multiplier", cfg.slo_multiplier, kMaxFactor);
+    cfg.control_period =
+        r.duration("control_period_sec", cfg.control_period, kTickSec);
+    cfg.planning_headroom = r.number(
+        "planning_headroom", cfg.planning_headroom, 1.0, kMaxFactor);
+    cfg.burst_threshold =
+        r.positive("burst_threshold", cfg.burst_threshold, kMaxFactor);
+    cfg.snapshot_interval = r.duration("snapshot_interval_sec",
+                                       cfg.snapshot_interval, kTickSec);
+    cfg.ilp_decision_delay =
+        r.duration("decision_delay_sec", cfg.ilp_decision_delay, 0.0);
+    cfg.milp_work_budget = r.integer<std::int64_t>(
+        "milp_work_budget", cfg.milp_work_budget, 0.0, kMaxWorkBudget);
+    cfg.latency_jitter_frac = r.number(
+        "latency_jitter", cfg.latency_jitter_frac, 0.0, kMaxJitter);
+    cfg.seed = r.integer<std::uint64_t>("seed", 1, 0.0, kMaxSeed);
+    cfg.pipeline_joint_planning =
+        r.choice("pipeline_planning", "joint",
+                 {"joint", "independent"}) == "joint";
+    if (const std::vector<JsonValue>* p = r.array("pipelines"))
+        cfg.pipelines = pipelinesFromJson(*p);
+    if (const JsonValue* o = r.object("observability"))
+        observabilityFromJson(*o, &spec);
+    const JsonValue* cluster = r.object("cluster");
+    const std::string zoo = r.choice("zoo", "paper", {"paper", "mini"});
+    const JsonValue* workload = r.object("workload");
+    r.finish();
+    if (workload == nullptr)
+        PROTEUS_FATAL("config is missing the \"workload\" object");
 
-    if (json.has("observability")) {
-        const JsonValue& o = json.at("observability");
-        spec.config.obs.enabled = o.boolOr("enabled", false);
-        spec.config.obs.ring_capacity =
-            static_cast<std::size_t>(checkedNumber(
-                o, "observability", "ring_capacity",
-                static_cast<double>(spec.config.obs.ring_capacity),
-                Range::Size));
-        spec.config.obs.sample_interval = seconds(o.numberOr(
-            "sample_interval_sec",
-            toSeconds(spec.config.obs.sample_interval)));
-        spec.config.obs.timeseries_capacity = static_cast<std::size_t>(
-            o.numberOr("timeseries_capacity",
-                       static_cast<double>(
-                           spec.config.obs.timeseries_capacity)));
-        spec.config.obs.slo_window = seconds(checkedNumber(
-            o, "observability", "slo_window_sec",
-            toSeconds(spec.config.obs.slo_window), Range::Seconds));
-        spec.config.obs.slo_budget =
-            checkedNumber(o, "observability", "slo_budget",
-                          spec.config.obs.slo_budget, Range::Positive);
-        spec.config.obs.slo_burn_high =
-            o.numberOr("slo_burn_high", spec.config.obs.slo_burn_high);
-        spec.config.obs.slo_burn_low =
-            o.numberOr("slo_burn_low", spec.config.obs.slo_burn_low);
-        spec.config.obs.slo_min_count = static_cast<std::uint64_t>(
-            o.numberOr("slo_min_count",
-                       static_cast<double>(
-                           spec.config.obs.slo_min_count)));
-        spec.trace_path = o.stringOr("trace_file", "");
-        spec.metrics_path = o.stringOr("metrics_file", "");
-        spec.timeline_csv_path = o.stringOr("timeline_csv", "");
-        spec.timeline_json_path = o.stringOr("timeline_json", "");
-    }
-
-    spec.cluster = clusterFromJson(json);
-    spec.registry = registryFromJson(json);
-    spec.trace =
-        traceFromJson(json, spec.registry, spec.config.pipelines);
+    spec.cluster = clusterFromJson(cluster);
+    spec.registry = registryFromZoo(zoo);
+    spec.trace = traceFromJson(*workload, spec.registry, cfg.pipelines);
     return spec;
 }
 

@@ -60,8 +60,10 @@ struct ExperimentSpec {
 };
 
 /**
- * Build an ExperimentSpec from a parsed JSON config. Unknown
- * algorithm or workload names are fatal (user error).
+ * Build an ExperimentSpec from a parsed JSON config. The keys it reads
+ * are the schema (README, "Config keys"): an unknown key, a wrong
+ * type, an out-of-range value or a malformed trace-file row is fatal
+ * (exit 1) with a diagnostic naming the key, or the file and row.
  */
 ExperimentSpec loadExperiment(const JsonValue& json);
 

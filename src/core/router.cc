@@ -22,12 +22,11 @@ LoadBalancer::LoadBalancer(Simulator* sim, FamilyId family,
 {}
 
 void
-LoadBalancer::setRouting(const WorkerShare* shares, std::size_t count)
+LoadBalancer::setRouting(const std::vector<WorkerShare>& shares)
 {
     targets_.clear();
     total_weight_ = 0.0;
-    for (std::size_t i = 0; i < count; ++i) {
-        const WorkerShare& s = shares[i];
+    for (const WorkerShare& s : shares) {
         if (s.weight <= 0.0)
             continue;
         PROTEUS_ASSERT(s.worker != nullptr, "null routing target");

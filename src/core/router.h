@@ -41,27 +41,14 @@ class LoadBalancer
     LoadBalancer(const LoadBalancer&) = delete;
     LoadBalancer& operator=(const LoadBalancer&) = delete;
 
-    /** One routing entry: target worker and its traffic share.
-     *  Aggregate (not std::pair) so arena staging can rely on trivial
-     *  copyability. */
+    /** One routing entry: target worker and its traffic share. */
     struct WorkerShare {
         Worker* worker = nullptr;
         double weight = 0.0;
     };
 
-    /**
-     * Install the query-assignment policy for this family. The core
-     * form takes a borrowed span so callers can stage shares in
-     * per-epoch arena scratch without materialising a vector.
-     */
-    void setRouting(const WorkerShare* shares, std::size_t count);
-
-    /** Convenience overload for vector-staged shares (tests). */
-    void
-    setRouting(const std::vector<WorkerShare>& shares)
-    {
-        setRouting(shares.data(), shares.size());
-    }
+    /** Install the query-assignment policy for this family. */
+    void setRouting(const std::vector<WorkerShare>& shares);
 
     /** Admit a query: route it to a worker or shed it. */
     void submit(Query* query);

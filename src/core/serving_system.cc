@@ -94,18 +94,10 @@ ServingSystem::ServingSystem(const Cluster* cluster,
             kTailExemplars, config_.seed);
         obs::SloMonitorOptions slo_opts;
         slo_opts.window = config_.obs.slo_window;
-        slo_opts.budget = config_.obs.slo_budget;
-        slo_opts.burn_high = config_.obs.slo_burn_high;
-        slo_opts.burn_low = config_.obs.slo_burn_low;
-        slo_opts.min_count = config_.obs.slo_min_count;
         slo_monitor_ = std::make_unique<obs::SloMonitor>(&sim_, slo_opts);
         slo_monitor_->setTracer(tracer_.get());
         slo_monitor_->setRegistry(&obs_registry_);
-        obs::TimeSeriesOptions ts_opts;
-        ts_opts.sample_interval = config_.obs.sample_interval;
-        ts_opts.capacity = config_.obs.timeseries_capacity;
-        timeseries_ =
-            std::make_unique<obs::TimeSeriesRecorder>(&sim_, ts_opts);
+        timeseries_ = std::make_unique<obs::TimeSeriesRecorder>(&sim_);
     }
     if (!pipelines_.empty()) {
         stage_router_ = std::make_unique<StageRouter>(&pipelines_);
@@ -441,18 +433,12 @@ ServingSystem::applyPlan(const Allocation& plan)
         workers_[d]->hostVariant(plan.hosting[d], first_apply_);
     }
 
-    // Decision boundary: everything staged for the previous epoch is
-    // dead, so the frame arena resets wholesale and the share lists
-    // below reuse its high-water blocks.
-    epoch_arena_.reset();
-
     // ... then the query-assignment policy for every application.
     for (FamilyId f = 0; f < balancers_.size(); ++f) {
-        alloc::ArenaVector<LoadBalancer::WorkerShare> shares(
-            &epoch_arena_);
+        share_scratch_.clear();
         for (const DeviceShare& s : plan.routing[f])
-            shares.push_back({workers_[s.device].get(), s.weight});
-        balancers_[f]->setRouting(shares.begin(), shares.size());
+            share_scratch_.push_back({workers_[s.device].get(), s.weight});
+        balancers_[f]->setRouting(share_scratch_.view());
         // Burst alarms compare observed demand against the demand the
         // plan was sized for, so the controller reacts before the
         // provisioned headroom is exhausted.

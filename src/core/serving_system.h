@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "cluster/device.h"
-#include "common/alloc/frame_arena.h"
 #include "common/alloc/object_pool.h"
 #include "common/alloc/scratch_vector.h"
 #include "core/allocation.h"
@@ -235,8 +234,8 @@ class ServingSystem : private QueryObserver
      *  monotonic via next_query_id_ (byte-identical to the deque). */
     alloc::ObjectPool<Query> query_pool_;
     QueryId next_query_id_ = 0;
-    /** Per-epoch staging (routing share lists); reset in applyPlan. */
-    alloc::FrameArena epoch_arena_;
+    /** Routing-share staging, reused by every applyPlan. */
+    alloc::ScratchVector<LoadBalancer::WorkerShare> share_scratch_;
     /** Horizon-drain staging (collect → sort by id → finish). */
     alloc::ScratchVector<Query*> drain_scratch_;
 

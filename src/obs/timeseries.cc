@@ -22,8 +22,6 @@ TimeSeriesRecorder::TimeSeriesRecorder(Simulator* sim,
                                        TimeSeriesOptions options)
     : sim_(sim), options_(options)
 {
-    if (options_.sample_interval <= 0)
-        options_.sample_interval = seconds(1.0);
     times_.reserve(options_.capacity);
 }
 
@@ -62,7 +60,7 @@ TimeSeriesRecorder::start()
         if (ch.rate)
             ch.last_total = ch.probe();
     }
-    sim_->schedulePeriodic(options_.sample_interval,
+    sim_->schedulePeriodic(kSampleInterval,
                            [this] { sample(sim_->now()); });
 }
 
@@ -145,7 +143,7 @@ TimeSeriesRecorder::toJson() const
     std::string out;
     out.reserve(128 + times_.size() * (channels_.size() + 1) * 10);
     out += "{\n  \"sample_interval_s\": ";
-    appendNumber(&out, toSeconds(options_.sample_interval));
+    appendNumber(&out, toSeconds(kSampleInterval));
     out += ",\n  \"samples\": ";
     appendNumber(&out, static_cast<double>(times_.size()));
     out += ",\n  \"dropped_samples\": ";

@@ -32,10 +32,11 @@
 namespace proteus {
 namespace obs {
 
-/** Sampling cadence and storage bounds of a TimeSeriesRecorder. */
+/** Sampling period of every TimeSeriesRecorder (simulated time). */
+inline constexpr Duration kSampleInterval = seconds(1.0);
+
+/** Storage bound of a TimeSeriesRecorder. */
 struct TimeSeriesOptions {
-    /** Sampling period on the simulated timeline. */
-    Duration sample_interval = seconds(1.0);
     /** Preallocated samples per channel; ticks beyond are dropped. */
     std::size_t capacity = 1 << 12;
 };

@@ -42,22 +42,12 @@ struct ObsOptions {
     bool enabled = false;
     /** Ring-buffer capacity in spans (oldest overwritten on wrap). */
     std::size_t ring_capacity = 1 << 16;
-
-    /** Time-series sampling period on the simulated clock. */
-    Duration sample_interval = seconds(1.0);
-    /** Preallocated samples per time-series channel. */
-    std::size_t timeseries_capacity = 1 << 12;
-
-    /** SLO monitor sliding-window length. */
+    /**
+     * SLO monitor sliding-window length. The monitor's budget and
+     * burn thresholds and the time-series cadence and capacity are
+     * the SloMonitorOptions / TimeSeriesOptions defaults.
+     */
     Duration slo_window = seconds(30.0);
-    /** Error budget: tolerated violation ratio within the window. */
-    double slo_budget = 0.02;
-    /** Burn rate at/above which an alarm is raised. */
-    double slo_burn_high = 1.0;
-    /** Burn rate below which a raised alarm clears (hysteresis). */
-    double slo_burn_low = 0.5;
-    /** Minimum completions in the window before alarms may raise. */
-    std::uint64_t slo_min_count = 20;
 };
 
 /**

@@ -1,9 +1,11 @@
 #include "workload/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "common/logging.h"
 
@@ -72,13 +74,38 @@ Trace::writeCsv(std::ostream& os) const
         os << e.at << "," << e.family << "\n";
 }
 
+namespace {
+
+/**
+ * Parse all of @p field (surrounding blanks allowed) as an integer in
+ * [0, hi]. @return false when it is not one.
+ */
+bool
+parseField(std::string_view field, std::int64_t hi, std::int64_t* out)
+{
+    const auto blank = [](char c) {
+        return c == ' ' || c == '\t' || c == '\r';
+    };
+    while (!field.empty() && blank(field.front()))
+        field.remove_prefix(1);
+    while (!field.empty() && blank(field.back()))
+        field.remove_suffix(1);
+    const char* end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+    return !field.empty() && ec == std::errc() && ptr == end &&
+           *out >= 0 && *out <= hi;
+}
+
+}  // namespace
+
 Trace
-Trace::readCsv(std::istream& is)
+Trace::readCsv(std::istream& is, const std::string& source,
+               std::size_t num_families)
 {
     Trace trace;
     std::string line;
     bool first = true;
-    while (std::getline(is, line)) {
+    for (std::size_t row = 1; std::getline(is, line); ++row) {
         if (line.empty())
             continue;
         if (first && line.rfind("time_us", 0) == 0) {
@@ -86,13 +113,27 @@ Trace::readCsv(std::istream& is)
             continue;
         }
         first = false;
-        auto comma = line.find(',');
-        PROTEUS_ASSERT(comma != std::string::npos,
-                       "malformed trace row: ", line);
-        Time at = std::stoll(line.substr(0, comma));
-        FamilyId family = static_cast<FamilyId>(
-            std::stoul(line.substr(comma + 1)));
-        trace.append(at, family);
+        const std::string_view text(line);
+        const std::size_t comma = text.find(',');
+        if (comma == std::string_view::npos)
+            PROTEUS_FATAL(source, " row ", row,
+                          ": expected \"time_us,family\", got \"", line,
+                          "\"");
+        std::int64_t at = 0;
+        if (!parseField(text.substr(0, comma), kMaxTraceTime, &at))
+            PROTEUS_FATAL(source, " row ", row,
+                          ": time_us must be an integer in [0, ",
+                          kMaxTraceTime, "], got \"",
+                          text.substr(0, comma), "\"");
+        std::int64_t family = 0;
+        const auto max_family =
+            static_cast<std::int64_t>(num_families) - 1;
+        if (!parseField(text.substr(comma + 1), max_family, &family))
+            PROTEUS_FATAL(source, " row ", row,
+                          ": family must be an integer in [0, ",
+                          max_family, "], got \"", text.substr(comma + 1),
+                          "\"");
+        trace.append(at, static_cast<FamilyId>(family));
     }
     trace.sort();
     return trace;

@@ -8,11 +8,15 @@
 #define PROTEUS_WORKLOAD_TRACE_H_
 
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "common/types.h"
 
 namespace proteus {
+
+/** Latest arrival a trace file may hold: 1e6 s (about 11.6 days). */
+inline constexpr Time kMaxTraceTime = seconds(1e6);
 
 /** One query arrival in a trace. */
 struct TraceEvent {
@@ -62,9 +66,13 @@ class Trace
 
     /**
      * Parse a trace from CSV as produced by writeCsv() (an optional
-     * "time_us,family" header is skipped). Panics on malformed rows.
+     * "time_us,family" header is skipped). A row is user input: one
+     * without a comma, with a time outside [0, kMaxTraceTime] or a
+     * family outside [0, num_families) is PROTEUS_FATAL (exit 1)
+     * naming @p source and the row's line number.
      */
-    static Trace readCsv(std::istream& is);
+    static Trace readCsv(std::istream& is, const std::string& source,
+                         std::size_t num_families);
 
   private:
     std::vector<TraceEvent> events_;

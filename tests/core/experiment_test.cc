@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
+
+#include "sweep/matrix.h"
 
 namespace proteus {
 namespace {
@@ -126,7 +129,10 @@ TEST(ExperimentTest, NonPositivePipelineQpsIsAConfigError)
                 "workload \"qps\" must be positive, got -5");
 }
 
-/** A config with one key out of range, and the diagnostic it earns. */
+/**
+ * A config with one malformed key or trace row, and the diagnostic it
+ * earns. "@DIR@" in the config stands for the fixture directory.
+ */
 struct OutOfRangeKey {
     const char* name;
     const char* config;
@@ -145,10 +151,14 @@ class ExperimentKeyTest : public ::testing::TestWithParam<OutOfRangeKey>
 
 TEST_P(ExperimentKeyTest, OutOfRangeIsAConfigError)
 {
-    // Each key reaches a component that asserts on it, or is accepted
-    // silently; the config loader must reject it first with exit 1 and
-    // the key's name.
-    const JsonValue json = parse(GetParam().config);
+    // Each config reaches a component that asserts on it, or runs
+    // silently wrong; the loader must reject it first with exit 1 and
+    // a diagnostic naming the key, or the trace file and row.
+    std::string config = GetParam().config;
+    const std::size_t dir = config.find("@DIR@");
+    if (dir != std::string::npos)
+        config.replace(dir, 5, CONFIG_FIXTURE_DIR);
+    const JsonValue json = parse(config);
     EXPECT_EXIT(loadExperiment(json), ::testing::ExitedWithCode(1),
                 GetParam().message);
 }
@@ -175,7 +185,7 @@ INSTANTIATE_TEST_SUITE_P(
                       R"({"zoo": "mini", "cluster": {"cpu": 1},
                           "observability": {"slo_budget": 0},
                           "workload": {"kind": "steady"}})",
-                      "observability \"slo_budget\" must be positive"},
+                      "observability \"slo_budget\" is not a known key"},
         OutOfRangeKey{"slo_window_sec",
                       R"({"zoo": "mini", "cluster": {"cpu": 1},
                           "observability": {"slo_window_sec": 0},
@@ -207,10 +217,162 @@ INSTANTIATE_TEST_SUITE_P(
         OutOfRangeKey{"phase_sec",
                       R"({"zoo": "mini", "cluster": {"cpu": 1},
                           "workload": {"kind": "burst", "phase_sec": 0}})",
-                      "workload \"phase_sec\" must be at least"}),
+                      "workload \"phase_sec\" must be at least"},
+        OutOfRangeKey{"cpu_overflow",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1e10},
+                          "workload": {"kind": "steady"}})",
+                      "cluster \"cpu\" must be at most 100000, "
+                      "got 10000000000"},
+        OutOfRangeKey{"cpu_fraction",
+                      R"({"zoo": "mini", "cluster": {"cpu": 2.5},
+                          "workload": {"kind": "steady"}})",
+                      "cluster \"cpu\" must be an integer, got 2.5"},
+        OutOfRangeKey{"slo_multiplier_string",
+                      R"({"zoo": "mini", "slo_multiplier": "2",
+                          "cluster": {"cpu": 1},
+                          "workload": {"kind": "steady"}})",
+                      "config \"slo_multiplier\" must be a number, "
+                      "got \"2\""},
+        OutOfRangeKey{"process_number",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "workload": {"kind": "steady", "process": 7}})",
+                      "workload \"process\" must be one of \"uniform\", "
+                      "\"poisson\", \"gamma\", got 7"},
+        OutOfRangeKey{"pipelines_object",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "pipelines": {"a": 1},
+                          "workload": {"kind": "steady"}})",
+                      "config \"pipelines\" must be an array, "
+                      "got an object"},
+        OutOfRangeKey{"enabled_number",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "observability": {"enabled": 1},
+                          "workload": {"kind": "steady"}})",
+                      "observability \"enabled\" must be true or false, "
+                      "got 1"},
+        OutOfRangeKey{"latency_jitter",
+                      R"({"zoo": "mini", "latency_jitter": 5,
+                          "cluster": {"cpu": 1},
+                          "workload": {"kind": "steady"}})",
+                      "config \"latency_jitter\" must be at most 0.9, "
+                      "got 5"},
+        OutOfRangeKey{"ring_capacity_overflow",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "observability": {"enabled": true,
+                                            "ring_capacity": 1e12},
+                          "workload": {"kind": "steady"}})",
+                      "observability \"ring_capacity\" must be at most "
+                      "4194304, got 1000000000000"},
+        OutOfRangeKey{"unknown_key",
+                      R"({"zoo": "mini", "slo_multipler": 5,
+                          "cluster": {"cpu": 1},
+                          "workload": {"kind": "steady"}})",
+                      "config \"slo_multipler\" is not a known key "
+                      "\\(known: .*slo_multiplier"},
+        OutOfRangeKey{"key_of_another_kind",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "workload": {"kind": "steady", "low_qps": -5}})",
+                      "workload \"low_qps\" is not a known key"},
+        OutOfRangeKey{"duration_overflow",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "workload": {"kind": "steady",
+                                       "duration_sec": 1e20}})",
+                      "workload \"duration_sec\" must be at most 1000000, "
+                      "got 1e\\+20"},
+        OutOfRangeKey{"milp_work_budget",
+                      R"({"zoo": "mini", "milp_work_budget": 1e30,
+                          "cluster": {"cpu": 1},
+                          "workload": {"kind": "steady"}})",
+                      "config \"milp_work_budget\" must be at most "
+                      "1000000000000, got 1e\\+30"},
+        OutOfRangeKey{"seed",
+                      R"({"zoo": "mini", "seed": -1, "cluster": {"cpu": 1},
+                          "workload": {"kind": "steady"}})",
+                      "config \"seed\" must be non-negative, got -1"},
+        OutOfRangeKey{"planning_headroom",
+                      R"({"zoo": "mini", "planning_headroom": -1,
+                          "cluster": {"cpu": 1},
+                          "workload": {"kind": "steady"}})",
+                      "config \"planning_headroom\" must be at least 1, "
+                      "got -1"},
+        OutOfRangeKey{"workload_array",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "workload": [1, 2]})",
+                      "config \"workload\" must be an object, "
+                      "got an array"},
+        OutOfRangeKey{"file_row_without_comma",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "workload": {"kind": "file", "path":
+                                       "@DIR@/no_comma.csv"}})",
+                      "no_comma.csv row 2: expected \"time_us,family\", "
+                      "got \"100 0\""},
+        OutOfRangeKey{"file_time_not_integer",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "workload": {"kind": "file", "path":
+                                       "@DIR@/time_not_integer.csv"}})",
+                      "time_not_integer.csv row 1: time_us must be an "
+                      "integer in .*, got \"abc\""},
+        OutOfRangeKey{"file_family_out_of_range",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "workload": {"kind": "file", "path":
+                                       "@DIR@/family_out_of_range.csv"}})",
+                      "family_out_of_range.csv row 2: family must be an "
+                      "integer in .*, got \"99\""},
+        OutOfRangeKey{"file_fractional_time",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "workload": {"kind": "file", "path":
+                                       "@DIR@/fractional_time.csv"}})",
+                      "fractional_time.csv row 1: time_us must be an "
+                      "integer in .*, got \"0.5\""},
+        OutOfRangeKey{"file_negative_time",
+                      R"({"zoo": "mini", "cluster": {"cpu": 1},
+                          "workload": {"kind": "file", "path":
+                                       "@DIR@/negative_time.csv"}})",
+                      "negative_time.csv row 1: time_us must be an "
+                      "integer in .*, got \"-5\""}),
     [](const ::testing::TestParamInfo<OutOfRangeKey>& key) {
         return std::string(key.param.name);
     });
+
+TEST(ExperimentTest, EveryCommittedConfigLoads)
+{
+    // Every committed config is inside the schema, and so is every job
+    // a sweep expands to: the seed axis adds "seed" and
+    // "workload.seed" to each job, whatever its workload kind.
+    std::size_t loaded = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(PROTEUS_CONFIG_DIR)) {
+        if (entry.path().extension() != ".json")
+            continue;
+        SCOPED_TRACE(entry.path().string());
+        JsonValue json;
+        std::string error;
+        ASSERT_TRUE(parseJsonFile(entry.path().string(), &json, &error))
+            << error;
+        if (!json.has("base")) {
+            EXPECT_GT(loadExperiment(json).trace.size(), 0u);
+            ++loaded;
+            continue;
+        }
+        for (const sweep::JobSpec& job :
+             sweep::expandJobs(sweep::loadSweepSpec(json))) {
+            EXPECT_GT(loadExperiment(job.experiment).trace.size(), 0u);
+            ++loaded;
+        }
+    }
+    EXPECT_GE(loaded, 7u + 30u);  // 7 configs + sweep_smoke's 3 x 10 jobs
+}
+
+TEST(ExperimentTest, FileTraceAcceptsTheSweepSeed)
+{
+    const ExperimentSpec spec = loadExperiment(parse(
+        std::string(R"({"zoo": "mini", "cluster": {"cpu": 1}, "seed": 3,
+            "workload": {"kind": "file", "seed": 3, "path": ")") +
+        CONFIG_FIXTURE_DIR + R"(/valid.csv"}})"));
+    ASSERT_EQ(spec.trace.size(), 2u);
+    EXPECT_EQ(spec.trace.events()[1].at, 200);
+    EXPECT_EQ(spec.trace.events()[1].family, 2u);
+}
 
 TEST(ExperimentTest, EndToEndRunFromConfig)
 {
@@ -231,7 +393,7 @@ TEST(ExperimentTest, TraceCsvRoundTrip)
     Trace t({{1000, 0}, {2000, 1}, {1500, 2}});
     std::stringstream ss;
     t.writeCsv(ss);
-    Trace back = Trace::readCsv(ss);
+    Trace back = Trace::readCsv(ss, "round_trip.csv", 3);
     ASSERT_EQ(back.size(), 3u);
     EXPECT_EQ(back.events()[0].at, 1000);
     EXPECT_EQ(back.events()[1].at, 1500);
@@ -242,7 +404,7 @@ TEST(ExperimentTest, TraceCsvRoundTrip)
 TEST(ExperimentTest, TraceCsvWithoutHeader)
 {
     std::stringstream ss("100,0\n200,1\n");
-    Trace t = Trace::readCsv(ss);
+    Trace t = Trace::readCsv(ss, "no_header.csv", 2);
     ASSERT_EQ(t.size(), 2u);
     EXPECT_EQ(t.events()[1].family, 1u);
 }
