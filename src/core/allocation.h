@@ -107,6 +107,11 @@ struct AllocatorSolveMeta {
     std::int64_t lp_solves = 0;
     /** Final relative incumbent/bound gap (0 when proven optimal). */
     double gap = 0.0;
+    /**
+     * Objective value of the plan's aggregated solution: the MILP
+     * optimum, or the kept plan's value when hysteresis keeps it.
+     */
+    double objective = 0.0;
     /** Infeasibility backoff steps taken (§4 demand scale-down). */
     int backoff_steps = 0;
     /**

@@ -745,6 +745,7 @@ IlpAllocator::allocate(const AllocationInput& input)
     meta_.simplex_iterations = total_iters;
     meta_.lp_solves = total_lp_solves;
     meta_.gap = sol.gap;
+    meta_.objective = sol.objective;
     meta_.backoff_steps = steps;
     return plan;
 }

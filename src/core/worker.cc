@@ -21,9 +21,11 @@ Worker::Worker(Simulator* sim, const Cluster* cluster, DeviceId device,
       profiles_(profiles),
       observer_(observer),
       requeue_(std::move(requeue)),
-      jitter_frac_(jitter_frac),
-      rng_(jitter_seed + device * 7919)
-{}
+      jitter_frac_(jitter_frac)
+{
+    if (jitter_frac_ > 0.0)
+        jitter_rng_.emplace(jitter_seed + device * 7919);
+}
 
 void
 Worker::setBatchingPolicy(std::unique_ptr<BatchingPolicy> policy)
@@ -361,7 +363,7 @@ Worker::executeBatch(int count)
 
     Duration lat = prof.latencyFor(count);
     if (jitter_frac_ > 0.0) {
-        double f = 1.0 + rng_.uniform(-jitter_frac_, jitter_frac_);
+        double f = 1.0 + jitter_rng_->uniform(-jitter_frac_, jitter_frac_);
         lat = static_cast<Duration>(static_cast<double>(lat) * f);
     }
     if (stall_until_ != kNoTime && sim_->now() < stall_until_) {

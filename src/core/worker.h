@@ -191,7 +191,8 @@ class Worker
     RequeueFn requeue_;
     obs::Tracer* tracer_ = nullptr;
     double jitter_frac_;
-    Rng rng_;
+    /** Latency-jitter stream; only a jittered worker seeds one. */
+    std::optional<Rng> jitter_rng_;
 
     std::unique_ptr<BatchingPolicy> policy_;
     std::optional<VariantId> target_;

@@ -61,9 +61,12 @@ MilpSolver::solve(const LinearProgram& lp, const HintBuilder& hint)
     auto orient = [&](double v) { return maximize ? v : -v; };
 
     stats_ = Stats{};
-    SimplexSolver lp_solver(options_.lp);
-    auto solveLp = [&](const Bounds* bounds) {
-        Solution s = lp_solver.solve(lp, bounds);
+    // One live tableau for every LP of this solve: node 1 is the cold
+    // root solve, every later node and heuristic probe a dual re-solve
+    // from the previous optimal basis.
+    IncrementalSimplex lp_solver(lp, options_.lp);
+    auto solveLp = [&](const Bounds& bounds) {
+        Solution s = lp_solver.solve(bounds);
         ++stats_.lp_solves;
         stats_.simplex_iterations += s.work;
         return s;
@@ -140,7 +143,7 @@ MilpSolver::solve(const LinearProgram& lp, const HintBuilder& hint)
             v = std::clamp(v, node_bounds[j].first, node_bounds[j].second);
             fixed[j] = {v, v};
         }
-        Solution s = solveLp(&fixed);
+        Solution s = solveLp(fixed);
         if (s.status == SolveStatus::Optimal)
             offerIncumbent(s);
     };
@@ -193,7 +196,7 @@ MilpSolver::solve(const LinearProgram& lp, const HintBuilder& hint)
                 }
                 Bounds trial = bounds;
                 trial[j] = {v, v};
-                Solution s = solveLp(&trial);
+                Solution s = solveLp(trial);
                 if (s.status != SolveStatus::Optimal)
                     continue;
                 bounds = std::move(trial);
@@ -230,7 +233,7 @@ MilpSolver::solve(const LinearProgram& lp, const HintBuilder& hint)
         }
         ++nodes;
 
-        Solution relax = solveLp(&node.bounds);
+        Solution relax = solveLp(node.bounds);
         if (relax.status == SolveStatus::Infeasible) {
             if (nodes == 1)
                 root_infeasible = true;
@@ -270,7 +273,11 @@ MilpSolver::solve(const LinearProgram& lp, const HintBuilder& hint)
             continue;
         }
 
-        if (nodes == 1 || nodes % (8 * options_.heuristic_period) == 0)
+        // Dive at the root and every 4th heuristic turn, round at the
+        // others. A dive's LPs are dual re-solves a few pivots each,
+        // and the incumbent it lands decides how much of the tree
+        // best-first search can prune.
+        if (nodes == 1 || nodes % (4 * options_.heuristic_period) == 0)
             dive(relax.x, node.bounds);
         else if (nodes % options_.heuristic_period == 0)
             tryRounding(relax.x, node.bounds);

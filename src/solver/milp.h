@@ -2,12 +2,13 @@
  * @file
  * Branch-and-bound solver for mixed-integer linear programs.
  *
- * Best-first search over LP relaxations solved by SimplexSolver, with
- * most-fractional branching and a rounding-and-repair primal heuristic
- * that produces incumbents early. Supports relative gap, node and
- * wall-clock limits; within the limits the returned solution is
- * globally optimal, matching the paper's use of an exact MILP
- * (§4, "Solving the MILP").
+ * Best-first search over LP relaxations, with most-fractional
+ * branching and rounding and diving heuristics that produce incumbents
+ * early. All LPs of one solve share an IncrementalSimplex: the root is
+ * a cold solve, every later LP a dual re-solve of the same tableau.
+ * Supports relative gap, node, work and wall-clock limits; within the
+ * limits the returned solution is globally optimal, matching the
+ * paper's use of an exact MILP (§4, "Solving the MILP").
  */
 
 #ifndef PROTEUS_SOLVER_MILP_H_
@@ -48,7 +49,10 @@ class MilpSolver
          * truncation (DESIGN.md, "Static analysis").
          */
         double time_limit_sec = 60.0;
-        /** Run the rounding heuristic every this many nodes. */
+        /**
+         * Run a primal heuristic every this many nodes: a dive every
+         * fourth time, LP rounding otherwise.
+         */
         int heuristic_period = 16;
         /** Options forwarded to the LP relaxation solver. */
         SimplexSolver::Options lp;

@@ -151,11 +151,13 @@ TEST(JsonTest, NestingUpToTheLimitParses)
         cur = &cur->asArray()[0];
     }
     EXPECT_EQ(depth, kMaxJsonDepth);
-    // Closing a level frees it for a sibling.
-    EXPECT_TRUE(parseJson("[" + deep.substr(1, deep.size() - 2) + "," +
-                              deep.substr(1, deep.size() - 2) + "]",
-                          &v, &err))
-        << err;
+    // Closing a level frees it for a sibling. Appended piece by piece:
+    // gcc 12 flags the chained operator+ temporaries with -Wrestrict
+    // in Release builds.
+    const std::string inner = deep.substr(1, deep.size() - 2);
+    std::string siblings = "[";
+    siblings.append(inner).append(",").append(inner).append("]");
+    EXPECT_TRUE(parseJson(siblings, &v, &err)) << err;
 }
 
 }  // namespace

@@ -35,7 +35,8 @@ modes:
   tsa     clang -Wthread-safety (as errors) build in build-tsa/
           (PROTEUS_THREAD_SAFETY=ON; requires clang++)
   lint    proteus_lint over the tree + clang-tidy (if installed)
-  strict  -Wshadow -Wconversion -Wextra-semi -Werror build (build-strict/)
+  strict  -Wshadow -Wconversion -Wextra-semi -Werror builds, default
+          (build-strict/) and Release (build-release/)
   obs     observability smoke only (trace + report + bench_diff)
   sweep   parallel sweep smoke only (4-thread vs 1-thread + --stats gate)
   --help  this table
@@ -181,12 +182,20 @@ lint_pass() {
 strict_pass() {
     # Build-only: the point is that the tree compiles warning-free at
     # the raised baseline; plain/asan passes already run the tests.
-    run_strict_dir=build-strict
+    # The Release build repeats it at -O3, where gcc's middle-end
+    # warnings (-Wrestrict, -Warray-bounds, ...) see inlined code the
+    # default RelWithDebInfo build does not.
     echo "=== strict: configure (PROTEUS_STRICT_WARNINGS + -Werror) ==="
-    cmake -B "${run_strict_dir}" -S . "${launcher_args[@]}" \
+    cmake -B build-strict -S . "${launcher_args[@]}" \
         -DPROTEUS_STRICT_WARNINGS=ON -DPROTEUS_WERROR=ON
     echo "=== strict: build ==="
-    cmake --build "${run_strict_dir}" -j "${jobs}"
+    cmake --build build-strict -j "${jobs}"
+    echo "=== strict: configure Release (-Werror) ==="
+    cmake -B build-release -S . "${launcher_args[@]}" \
+        -DCMAKE_BUILD_TYPE=Release -DPROTEUS_STRICT_WARNINGS=ON \
+        -DPROTEUS_WERROR=ON
+    echo "=== strict: build Release ==="
+    cmake --build build-release -j "${jobs}"
 }
 
 tsan_pass() {
