@@ -154,16 +154,17 @@ pipelineTrace(const std::vector<FamilyId>& entry_families,
 {
     PROTEUS_ASSERT(!entry_families.empty(),
                    "pipeline trace needs at least one entry family");
-    Trace trace;
-    for (std::size_t i = 0; i < entry_families.size(); ++i) {
+    auto stream = [&](std::size_t i) {
         Rng rng(config.seed + i);
-        Trace stream = steadyTraceImpl(config.qps, config.duration,
-                                       config.process, rng, nullptr,
-                                       entry_families[i]);
-        for (const TraceEvent& e : stream.events())
-            trace.append(e.at, e.family);
-    }
-    trace.sort();
+        return steadyTraceImpl(config.qps, config.duration,
+                               config.process, rng, nullptr,
+                               entry_families[i]);
+    };
+    // Folding the streams in index order gives the order appending
+    // them and stable-sorting on time would.
+    Trace trace = stream(0);
+    for (std::size_t i = 1; i < entry_families.size(); ++i)
+        trace = Trace::merge(trace, stream(i));
     return trace;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -11,25 +12,64 @@
 
 namespace proteus {
 
+namespace {
+
+/** Largest value the non-negative range of TraceEvent::at holds. */
+constexpr Time kTimeMask = (Time{1} << (TraceEvent::kTimeBits - 1)) - 1;
+
+bool
+earlier(const TraceEvent& a, const TraceEvent& b)
+{
+    return a.at < b.at;
+}
+
+}  // namespace
+
+TraceEvent::TraceEvent(Time time, FamilyId fam)
+    : at(time & kTimeMask), family(fam & (kFamilyLimit - 1))
+{
+    // The masks only keep -Wconversion quiet: after these checks they
+    // change no bit.
+    PROTEUS_ASSERT(time >= 0 && time <= kMaxTraceTime,
+                   "arrival time ", time, " outside [0, ", kMaxTraceTime,
+                   "]");
+    PROTEUS_ASSERT(fam < kFamilyLimit, "family ", fam, " not below ",
+                   kFamilyLimit);
+}
+
 Trace::Trace(std::vector<TraceEvent> events)
     : events_(std::move(events))
 {
+    for (const TraceEvent& e : events_)
+        max_family_ = std::max<FamilyId>(max_family_, e.family);
     sort();
 }
 
 void
 Trace::append(Time at, FamilyId family)
 {
-    events_.push_back(TraceEvent{at, family});
+    events_.emplace_back(at, family);
+    max_family_ = std::max(max_family_, family);
 }
 
 void
 Trace::sort()
 {
-    std::stable_sort(events_.begin(), events_.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                         return a.at < b.at;
-                     });
+    if (!std::is_sorted(events_.begin(), events_.end(), earlier))
+        std::stable_sort(events_.begin(), events_.end(), earlier);
+}
+
+Trace
+Trace::merge(const Trace& first, const Trace& second)
+{
+    Trace out;
+    out.events_.reserve(first.size() + second.size());
+    // std::merge is stable: on equal times it takes @p first's event.
+    std::merge(first.events_.begin(), first.events_.end(),
+               second.events_.begin(), second.events_.end(),
+               std::back_inserter(out.events_), earlier);
+    out.max_family_ = std::max(first.max_family_, second.max_family_);
+    return out;
 }
 
 Time
@@ -42,18 +82,23 @@ std::vector<double>
 Trace::demand(std::size_t num_families, Time from, Time to) const
 {
     PROTEUS_ASSERT(to > from, "empty demand window");
-    std::vector<double> qps(num_families, 0.0);
-    auto lo = std::lower_bound(
-        events_.begin(), events_.end(), from,
-        [](const TraceEvent& e, Time t) { return e.at < t; });
-    for (auto it = lo; it != events_.end() && it->at < to; ++it) {
-        PROTEUS_ASSERT(it->family < num_families,
-                       "trace family out of range");
-        qps[it->family] += 1.0;
-    }
-    double window_s = toSeconds(to - from);
-    for (auto& q : qps)
-        q /= window_s;
+    PROTEUS_ASSERT(events_.empty() || max_family_ < num_families,
+                   "trace family ", max_family_, " out of range");
+    const auto before = [](const TraceEvent& e, Time t) {
+        return e.at < t;
+    };
+    const auto lo =
+        std::lower_bound(events_.begin(), events_.end(), from, before);
+    const auto hi = std::lower_bound(lo, events_.end(), to, before);
+    std::vector<std::size_t> counts(num_families, 0);
+    for (auto it = lo; it != hi; ++it)
+        ++counts[it->family];
+    // Counts convert exactly (they are far below 2^53), so the result
+    // is the one a per-event `+= 1.0` gives.
+    const double window_s = toSeconds(to - from);
+    std::vector<double> qps(num_families);
+    for (std::size_t f = 0; f < num_families; ++f)
+        qps[f] = static_cast<double>(counts[f]) / window_s;
     return qps;
 }
 
@@ -126,8 +171,9 @@ Trace::readCsv(std::istream& is, const std::string& source,
                           kMaxTraceTime, "], got \"",
                           text.substr(0, comma), "\"");
         std::int64_t family = 0;
-        const auto max_family =
-            static_cast<std::int64_t>(num_families) - 1;
+        const std::size_t families =
+            std::min<std::size_t>(num_families, TraceEvent::kFamilyLimit);
+        const auto max_family = static_cast<std::int64_t>(families) - 1;
         if (!parseField(text.substr(comma + 1), max_family, &family))
             PROTEUS_FATAL(source, " row ", row,
                           ": family must be an integer in [0, ",

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 namespace proteus {
@@ -119,11 +121,105 @@ TEST(GeneratorsTest, DifferentSeedsDiffer)
 
 TEST(GeneratorsTest, TracesAreTimeSorted)
 {
-    Trace t = steadyTrace(5, 300.0, seconds(30.0),
-                          ArrivalProcess::Gamma, 17);
-    const auto& e = t.events();
-    for (std::size_t i = 1; i < e.size(); ++i)
-        EXPECT_LE(e[i - 1].at, e[i].at);
+    PipelineTraceConfig pipe;
+    pipe.duration = seconds(30.0);
+    const std::vector<Trace> traces = {
+        steadyTrace(5, 300.0, seconds(30.0), ArrivalProcess::Gamma, 17),
+        diurnalTrace(5, DiurnalTraceConfig{seconds(30.0)}),
+        burstTrace(5, BurstTraceConfig{seconds(30.0)}),
+        pipelineTrace({4, 0, 2}, pipe)};
+    for (const Trace& t : traces) {
+        const auto& e = t.events();
+        for (std::size_t i = 1; i < e.size(); ++i)
+            ASSERT_LE(e[i - 1].at, e[i].at) << i;
+    }
+}
+
+/** (time, family) pairs of @p t, for whole-trace comparisons. */
+std::vector<std::pair<Time, FamilyId>>
+pairs(const Trace& t)
+{
+    std::vector<std::pair<Time, FamilyId>> out;
+    for (const TraceEvent& e : t.events())
+        out.emplace_back(e.at, e.family);
+    return out;
+}
+
+TEST(GeneratorsTest, PipelineTraceMergesStreamsInStreamOrder)
+{
+    // Each entry stream is the single-family steady trace seeded
+    // seed + index; the merged trace must order them as appending the
+    // streams in index order and stable-sorting on time would. Uniform
+    // arrivals put every event of one stream on the same instant as
+    // one of the other's, and the entry families are listed in
+    // descending order, so a tie broken by family fails.
+    for (ArrivalProcess p :
+         {ArrivalProcess::Uniform, ArrivalProcess::Poisson}) {
+        for (std::vector<FamilyId> entries :
+             {std::vector<FamilyId>{5}, std::vector<FamilyId>{5, 2},
+              std::vector<FamilyId>{6, 4, 1}}) {
+            PipelineTraceConfig cfg;
+            cfg.qps = 50.0;
+            cfg.duration = seconds(20.0);
+            cfg.process = p;
+            cfg.seed = 9;
+            std::vector<std::pair<Time, FamilyId>> want;
+            for (std::size_t i = 0; i < entries.size(); ++i) {
+                const auto stream = pairs(steadySingleFamilyTrace(
+                    entries[i], cfg.qps, cfg.duration, p, cfg.seed + i));
+                want.insert(want.end(), stream.begin(), stream.end());
+            }
+            std::stable_sort(want.begin(), want.end(),
+                             [](const auto& a, const auto& b) {
+                                 return a.first < b.first;
+                             });
+            const auto got = pairs(pipelineTrace(entries, cfg));
+            EXPECT_EQ(got, want) << toString(p) << " with "
+                                 << entries.size() << " entries";
+        }
+    }
+}
+
+TEST(GeneratorsTest, DemandMatchesANaiveRecount)
+{
+    constexpr std::size_t kFamilies = 6;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        BurstTraceConfig burst;
+        burst.duration = seconds(90.0);
+        burst.phase = seconds(20.0);
+        burst.seed = seed;
+        DiurnalTraceConfig diurnal;
+        diurnal.duration = seconds(90.0);
+        diurnal.seed = seed;
+        const std::vector<Trace> traces = {
+            steadyTrace(kFamilies, 400.0, seconds(90.0),
+                        ArrivalProcess::Gamma, seed),
+            burstTrace(kFamilies, burst), diurnalTrace(kFamilies, diurnal)};
+        for (const Trace& t : traces) {
+            const auto& e = t.events();
+            ASSERT_GT(e.size(), 100u);
+            // Whole seconds, windows cut exactly at arrivals (both ends
+            // inclusive of ties), and windows running past the end.
+            const std::vector<std::pair<Time, Time>> windows = {
+                {0, seconds(60.0)},
+                {seconds(13.0), seconds(14.0)},
+                {e[e.size() / 3].at, e[2 * e.size() / 3].at},
+                {e[17].at, e[17].at + 1},
+                {e[e.size() / 2].at, t.endTime() + seconds(5.0)}};
+            for (const auto& [from, to] : windows) {
+                std::vector<double> naive(kFamilies, 0.0);
+                for (const TraceEvent& ev : e) {
+                    if (ev.at >= from && ev.at < to)
+                        naive[ev.family] += 1.0;
+                }
+                for (double& q : naive)
+                    q /= toSeconds(to - from);
+                EXPECT_EQ(t.demand(kFamilies, from, to), naive)
+                    << "seed " << seed << " [" << from << ", " << to
+                    << ")";
+            }
+        }
+    }
 }
 
 TEST(GeneratorsTest, FamiliesWithinRange)
